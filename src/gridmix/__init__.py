@@ -3,16 +3,16 @@
 from .grid_world import (Action, AgentState, EnvConfig, EnvState, GenerationFailed,
                          GridMap, InvalidActionCount, StepOutcome,
                          bfs_distance_field, env_from_record, generate,
-                         global_state_tensor, map_hash, map_record, reward_for, step)
-from .observation import InactiveAgent, Observation, obs_dim, observe, project_goal
+                         map_hash, map_record, reward_for)
+from .observation import InactiveAgent, obs_dim, observe, observe_all, project_goal
 from .dense_net import (AdamState, NetParams, NonFiniteGradient, ShapeMismatch, Tape,
                         Topology, adam_step, backward, clip_global_norm,
                         finite_diff_check, forward, init_params)
 from .replay_buffer import Batch, Buffer, JointTransition, Underfilled
-from .qmix_core import (HyperNets, LossReport, MixerBundle, agent_q_values,
-                        load_bundle, mix, save_bundle, select_actions, sync_targets,
+from .qmix_core import (HyperNets, LossReport, MixerBundle, epsilon_greedy,
+                        load_bundle, save_bundle, select_actions, sync_targets,
                         td_targets, train_step)
-from .baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy
+from .baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy, play_episode
 from .mapsets import gen_mapset, load_mapset, mapset_hash, save_mapset
 from .harness import (ConfigInvalid, EvalReport, GreedyNetPolicy, RunConfig,
                       TopologyMismatch, TrainResult, bench_env_stepping,

@@ -63,6 +63,14 @@ class GreedyBfsPolicy:
         return acts
 
 
+def play_episode(env: EnvState, policy) -> np.ndarray:
+    """Step ``policy`` on ``env`` until the episode ends; per-agent goal-reached flags."""
+    reached = np.zeros(env.n_agents, dtype=bool)
+    while not env.episode_over:
+        reached |= env.step(policy.actions(env)).done
+    return reached
+
+
 def baseline_policy(kind: str, seed: int = 0):
     """Factory for the evaluator: kind is 'random' or 'greedy_bfs'."""
     if kind == "random":

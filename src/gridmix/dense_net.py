@@ -14,7 +14,6 @@ ELU uses alpha = 1 and is smooth at 0.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,15 +44,6 @@ def _abs_vjp(z, g):
     return g * np.sign(z)
 
 
-def _tanh(z):
-    return np.tanh(z)
-
-
-def _tanh_vjp(z, g):
-    t = np.tanh(z)
-    return g * (1.0 - t * t)
-
-
 def _identity(z):
     return z
 
@@ -75,7 +65,6 @@ def _elu_vjp(z, g):
 ACTIVATIONS = {
     "relu": (_relu, _relu_vjp),
     "abs": (_abs, _abs_vjp),
-    "tanh": (_tanh, _tanh_vjp),
     "identity": (_identity, _identity_vjp),
     "elu": (_elu, _elu_vjp),
 }
@@ -360,12 +349,3 @@ def params_from_payload(payload: dict) -> NetParams:
     topology = Topology(tuple(payload["sizes"]), tuple(payload["activations"]))
     return NetParams(topology, np.array(payload["params"], dtype=np.float64))
 
-
-def save_params(params: NetParams, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_payload(params), fh)
-
-
-def load_params(path: str) -> NetParams:
-    with open(path) as fh:
-        return params_from_payload(json.load(fh))

@@ -323,16 +323,6 @@ class EnvState:
         return g
 
 
-def step(state: EnvState, actions) -> tuple[EnvState, StepOutcome]:
-    """Functional-style wrapper: mutates ``state`` in place and returns it."""
-    outcome = state.step(actions)
-    return state, outcome
-
-
-def global_state_tensor(state: EnvState) -> np.ndarray:
-    return state.global_state()
-
-
 def generate(config: EnvConfig) -> EnvState:
     """Generate a random environment with guaranteed goal reachability.
 

@@ -13,8 +13,7 @@ index), which makes results independent of scheduling and reproducible
 regardless of how many instances run.
 
 evaluate() rolls a greedy policy (or a baseline) over every map of a set,
-optionally in parallel over maps; the env var GRIDMIX_THREADS bounds the
-worker count and the reduction order is fixed by map index.
+in map-index order.
 """
 from __future__ import annotations
 
@@ -22,17 +21,16 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import qmix_core
+from .baselines import play_episode
 from .dense_net import forward
-from .grid_world import (Action, EnvConfig, EnvState, env_from_record,
-                         generate, map_hash, map_record)
+from .grid_world import EnvConfig, EnvState, env_from_record, generate, map_hash, map_record
 from .mapsets import gen_mapset, load_mapset, mapset_hash, sample_giveway_record
-from .observation import obs_dim, observe
+from .observation import obs_dim, observe_all
 from .qmix_core import MixerBundle, load_bundle, save_bundle, select_actions
 from .replay_buffer import Buffer, JointTransition
 
@@ -42,6 +40,11 @@ _TAG_EXPLORE = 2
 _TAG_NET = 3
 _TAG_BUFFER = 4
 _TAG_EVALSET = 5
+
+# consecutive training-map draws that may all land in the evaluation set
+# before a reset gives up; only an evaluation set that covers (nearly) the
+# whole training family gets there
+MAX_RESET_DRAWS = 4096
 
 METRICS_COLUMNS = ("steps", "loss_mean", "q_tot_mean", "grad_norm",
                    "eval_success_mean", "eval_success_per_map_json", "wall_s")
@@ -157,21 +160,18 @@ class GreedyNetPolicy:
 
     def __init__(self, bundle: MixerBundle):
         self.bundle = bundle
+        self._obs: np.ndarray | None = None  # (n, 4, 2R+1, 2R+1), reused across steps
 
     def start_episode(self, map_index: int = 0, repeat: int = 0) -> None:
         pass
 
     def actions(self, env: EnvState) -> np.ndarray:
         n = env.n_agents
-        rad = env.config.obs_radius
-        width = 2 * rad + 1
-        obs = np.zeros((n, 4, width, width))
-        active = np.zeros(n, dtype=bool)
-        for i, ag in enumerate(env.agents):
-            if ag.active:
-                observe(env, i, out=obs[i])
-                active[i] = True
-        return select_actions(self.bundle, obs.reshape(n, -1), 0.0, active=active)
+        width = 2 * env.config.obs_radius + 1
+        if self._obs is None or self._obs.shape != (n, 4, width, width):
+            self._obs = np.empty((n, 4, width, width))
+        active = observe_all(env, self._obs)
+        return select_actions(self.bundle, self._obs.reshape(n, -1), 0.0, active=active)
 
 
 def _as_policy(policy_or_bundle, mapset: dict):
@@ -194,19 +194,7 @@ def _rollout_success(record: dict, obs_radius: int, horizon: int, policy,
                      map_index: int, repeat: int) -> float:
     env = env_from_record(record, obs_radius=obs_radius, horizon=horizon)
     policy.start_episode(map_index, repeat)
-    reached = np.zeros(env.n_agents, dtype=bool)
-    while not env.episode_over:
-        outcome = env.step(policy.actions(env))
-        reached |= outcome.done
-    return float(reached.mean())
-
-
-def _eval_workers() -> int:
-    raw = os.environ.get("GRIDMIX_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+    return float(play_episode(env, policy).mean())
 
 
 def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
@@ -226,21 +214,13 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     cfg = mapset["config"]
     t0 = time_fn()
 
-    def one_map(idx: int) -> float:
-        record = mapset["maps"][idx]
+    per_map = []
+    for idx, record in enumerate(mapset["maps"]):
         total = 0.0
         for rep in range(repeats):
             total += _rollout_success(record, cfg["obs_radius"], cfg["horizon"],
                                       policy, idx, rep)
-        return total / repeats
-
-    indices = range(len(mapset["maps"]))
-    workers = _eval_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_map = list(pool.map(one_map, indices))
-    else:
-        per_map = [one_map(i) for i in indices]
+        per_map.append(total / repeats)
     mean = float(np.mean(per_map))
     return EvalReport(per_map=per_map, mean=mean, steps=steps_so_far,
                       wall_s=time_fn() - t0)
@@ -273,7 +253,6 @@ class _EnvSlot:
         self.eval_hashes = eval_hashes
         width = 2 * config.obs_radius + 1
         self.n = config.n_agents
-        state_d = 3 * config.size * config.size
         self._obs_banks = [np.zeros((self.n, 4, width, width)) for _ in range(2)]
         self._state_banks = [np.zeros((3, config.size, config.size)) for _ in range(2)]
         self._flip = 0
@@ -285,7 +264,7 @@ class _EnvSlot:
 
     def reset(self) -> None:
         # resample until the drawn map is not part of the evaluation set
-        while True:
+        for _ in range(MAX_RESET_DRAWS):
             if self.config.train_map_kind == "giveway":
                 record = sample_giveway_record(self.config.env_config(seed=0),
                                                self.map_rng)
@@ -298,6 +277,10 @@ class _EnvSlot:
             h = map_hash(record)
             if h not in self.eval_hashes:
                 break
+        else:
+            raise ConfigInvalid(
+                f"{MAX_RESET_DRAWS} training map draws in a row were all in the "
+                "evaluation set: the evaluation set covers the training maps")
         self.seen_hashes.add(h)
         self.env = env
         self._refresh()
@@ -307,12 +290,7 @@ class _EnvSlot:
         obs_buf = self._obs_banks[self._flip]
         state_buf = self._state_banks[self._flip]
         self._flip ^= 1
-        self.active = np.array([ag.active for ag in env.agents], dtype=bool)
-        for i in range(self.n):
-            if self.active[i]:
-                observe(env, i, out=obs_buf[i])
-            else:
-                obs_buf[i] = 0.0
+        self.active = observe_all(env, obs_buf)
         self.obs = obs_buf.reshape(self.n, -1)
         self.state = env.global_state(out=state_buf).reshape(-1)
 
@@ -406,15 +384,8 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
             q_all, _ = forward(bundle.agent_net, all_obs)
             greedy = q_all.argmax(axis=1).reshape(config.n_envs, n)
             for e, slot in enumerate(slots):
-                actions = np.full(n, int(Action.STAY), dtype=np.int64)
-                rng = slot.explore_rng
-                for i in range(n):
-                    if not slot.active[i]:
-                        continue
-                    if eps > 0.0 and rng.random() < eps:
-                        actions[i] = int(rng.integers(qmix_core.N_ACTIONS))
-                    else:
-                        actions[i] = int(greedy[e, i])
+                actions = qmix_core.epsilon_greedy(greedy[e], eps, slot.explore_rng,
+                                                   slot.active)
                 env = slot.env
                 prev_obs = slot.obs
                 prev_state = slot.state
@@ -496,9 +467,7 @@ def bench_env_stepping(env_config: EnvConfig, n_steps: int = 30_000,
         t0 = time_fn()
         outcome = env.step(actions[k])
         if include_observations:
-            for i, ag in enumerate(env.agents):
-                if ag.active:
-                    observe(env, i, out=obs_buf[i])
+            observe_all(env, obs_buf)
         elapsed += time_fn() - t0
         agent_steps += n
         if outcome.episode_over:

@@ -16,12 +16,13 @@ greedy shortest-path rollout must fail for at least one agent.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
 import numpy as np
 
-from .baselines import GreedyBfsPolicy
+from .baselines import GreedyBfsPolicy, play_episode
 from .grid_world import (EnvConfig, GenerationFailed, env_from_record, generate,
                          map_hash, map_record)
 
@@ -64,12 +65,7 @@ def load_mapset(path: str) -> dict:
 def greedy_rollout_fails(record: dict, obs_radius: int, horizon: int) -> bool:
     """True when the simultaneous greedy shortest-path rollout strands an agent."""
     env = env_from_record(record, obs_radius=obs_radius, horizon=horizon)
-    policy = GreedyBfsPolicy()
-    reached = np.zeros(env.n_agents, dtype=bool)
-    while not env.episode_over:
-        outcome = env.step(policy.actions(env))
-        reached |= outcome.done
-    return not reached.all()
+    return not play_episode(env, GreedyBfsPolicy()).all()
 
 
 MIN_CORRIDOR_LEN = 4  # BFS distance along the corridor; shorter maps are trivial
@@ -102,8 +98,12 @@ def _giveway_record(size: int, row: int, lo: int, hi: int, alcove: int, side: in
     }
 
 
-def _giveway_combos(size: int) -> list[tuple[int, int, int, int, int, int]]:
-    """Template sweep: corridor row, span, alcove position, side, orientation."""
+@functools.cache
+def _giveway_combos(size: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Template sweep: corridor row, span, alcove position, side, orientation.
+
+    Cached per size: every give-way training reset draws from it.
+    """
     combos = []
     for orient in (0, 1):
         for row in range(1, size - 1):
@@ -112,7 +112,7 @@ def _giveway_combos(size: int) -> list[tuple[int, int, int, int, int, int]]:
                     for alcove in range(lo + 1, hi):
                         for side in (-1, 1):
                             combos.append((row, lo, hi, alcove, side, orient))
-    return combos
+    return tuple(combos)
 
 
 def sample_giveway_record(config: EnvConfig, rng: np.random.Generator) -> dict:

@@ -12,11 +12,9 @@ Each active agent sees a 4 x (2R+1) x (2R+1) window centered on itself:
 Channels are independent matrices; a projected goal marker may land on a
 cell that channel 0 marks as an obstacle. Finished agents and their goals
 appear in no channel. Observations are pure functions of the environment
-state and safe to compute for all agents in parallel.
+state.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +23,6 @@ from .grid_world import EnvState
 
 class InactiveAgent(RuntimeError):
     """observe() was called for an agent that already left the map."""
-
-
-@dataclass
-class Observation:
-    """4-channel egocentric window; ``data`` has shape (4, 2R+1, 2R+1)."""
-
-    data: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        """Row-major per channel, channels in declared order; length 4*(2R+1)^2."""
-        return self.data.reshape(-1)
 
 
 def project_goal(delta_row: int, delta_col: int, radius: int) -> tuple[int, int]:
@@ -57,11 +44,12 @@ def obs_dim(obs_radius: int) -> int:
     return 4 * width * width
 
 
-def observe(state: EnvState, agent_index: int, out: np.ndarray | None = None) -> Observation:
-    """Encode the observation of one active agent.
+def observe(state: EnvState, agent_index: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Encode the observation of one active agent as a (4, 2R+1, 2R+1) array.
 
-    ``out`` may supply a preallocated (4, 2R+1, 2R+1) float64 array to
-    avoid churn on the training hot path.
+    Flattening it row-major gives the channel blocks in declared order.
+    ``out`` may supply a preallocated float64 array to avoid churn on the
+    training hot path.
     """
     ag = state.agents[agent_index]
     if not ag.active:
@@ -84,4 +72,18 @@ def observe(state: EnvState, agent_index: int, out: np.ndarray | None = None) ->
     out[3] = 0.0
     pr, pc = project_goal(gr - r, gc - c, rad)
     out[3, pr + rad, pc + rad] = 1.0
-    return Observation(out)
+    return out
+
+
+def observe_all(state: EnvState, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (n_agents, 4, 2R+1, 2R+1) for every agent; return the active mask.
+
+    Rows of agents that have left the map are zeroed.
+    """
+    active = np.array([ag.active for ag in state.agents], dtype=bool)
+    for i in range(len(active)):
+        if active[i]:
+            observe(state, i, out=out[i])
+        else:
+            out[i] = 0.0
+    return active

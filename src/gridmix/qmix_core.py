@@ -22,10 +22,6 @@ Targets use hard-synced copies of all trainable parameters. Agents that
 were inactive at step start contribute a constant 0 to the mixer and
 receive no gradient. The loss is the mean squared TD error over unmasked
 entries.
-
-Action selection for distinct agents or environments may run in parallel
-against a parameter snapshot; train_step and sync_targets are exclusive
-writers, and no parameters may be mutated concurrently with a forward pass.
 """
 from __future__ import annotations
 
@@ -162,14 +158,6 @@ class MixerBundle:
                          self._target["hw2"], self._target["hb2"])
 
 
-def agent_q_values(net: NetParams, observation: np.ndarray) -> np.ndarray:
-    """Q-value per action, in action-code order."""
-    if np.ndim(observation) != 1:
-        raise ShapeMismatch("agent_q_values expects a single flattened observation")
-    out, _ = forward(net, observation)
-    return out
-
-
 @dataclass
 class MixCache:
     """Intermediate tensors needed to backpropagate through one mixing pass."""
@@ -281,14 +269,6 @@ def mix_backward_batch(cache: MixCache,
     return d_qs, grads
 
 
-def mix(hyper: HyperNets, agent_qs: np.ndarray, state: np.ndarray,
-        hidden_activation: str = "elu") -> float:
-    """Q_tot for one sample of per-agent Q-values and one global state."""
-    q_tot, _ = mix_forward_batch(hyper, np.asarray(agent_qs)[None, :],
-                                 np.asarray(state)[None, :], hidden_activation)
-    return float(q_tot[0])
-
-
 def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
     """Per-sample regression targets y_tot, computed from the target copies.
 
@@ -361,9 +341,9 @@ def loss_and_grad(bundle: MixerBundle, batch,
         q_tot_mean = float(q_tot.mean())
         td_errors = td
 
-    grad_out = np.zeros((b * n, N_ACTIONS))
-    grad_out[rows, act_flat] = d_chosen.reshape(-1)
-    grads_by_name["agent"] = backward(tape, grad_out, need_input_grad=False)[0]
+    d_q_all = np.zeros((b * n, N_ACTIONS))
+    d_q_all[rows, act_flat] = d_chosen.reshape(-1)
+    grads_by_name["agent"] = backward(tape, d_q_all, need_input_grad=False)[0]
     for name, seg in bundle._segments.items():
         grad[seg] = grads_by_name[name]
     return loss, grad, td_errors, q_tot_mean
@@ -410,9 +390,19 @@ def select_actions(bundle: MixerBundle, observations: np.ndarray, eps: float,
     if eps > 0.0 and rng is None:
         raise ValueError("eps > 0 requires an rng")
     q, _ = forward(bundle.agent_net, observations)
-    greedy = q.argmax(axis=1)
-    actions = np.full(n, int(Action.STAY), dtype=np.int64)
-    for i in range(n):
+    return epsilon_greedy(q.argmax(axis=1), eps, rng, active)
+
+
+def epsilon_greedy(greedy: np.ndarray, eps: float, rng: np.random.Generator | None,
+                   active: np.ndarray) -> np.ndarray:
+    """Per-agent epsilon-greedy choice given each agent's greedy action.
+
+    Active agents are visited in index order; each draws one uniform and,
+    below eps, a random action code. Inactive agents emit Stay and consume
+    no randomness. With eps = 0 the rng is never touched.
+    """
+    actions = np.full(len(greedy), int(Action.STAY), dtype=np.int64)
+    for i in range(len(greedy)):
         if not active[i]:
             continue
         if eps > 0.0 and rng.random() < eps:

@@ -227,14 +227,6 @@ class TestEvaluate:
         with pytest.raises(TopologyMismatch):
             evaluate(make_goal_seeking_bundle(n_agents=1), mapset2)
 
-    def test_thread_workers_match_serial(self, monkeypatch):
-        mapset = gen_mapset("random", 8, env_config(n_agents=1, goal_dist=4), seed=14)
-        bundle = make_goal_seeking_bundle()
-        serial = evaluate(bundle, mapset)
-        monkeypatch.setenv("GRIDMIX_THREADS", "4")
-        threaded = evaluate(bundle, mapset)
-        assert serial.per_map == threaded.per_map
-
 
 class TestRender:
     def test_tiny_map_frame(self):
@@ -358,6 +350,19 @@ class TestTrain:
         save_mapset(mapset, maps_path)
         config = self.base_config(eval_maps=maps_path)  # run uses 1 agent
         with pytest.raises(ConfigInvalid):
+            train(config, str(tmp_path / "run"))
+
+    def test_eval_set_covering_train_family_rejected(self, tmp_path):
+        # every certified size-6 give-way map is in the evaluation set, so no
+        # training map can be drawn; the reset must give up, not spin forever
+        env = EnvConfig(size=6, density=0.3, n_agents=2, obs_radius=2, horizon=9)
+        mapset = gen_mapset("giveway", 160, env, seed=0)
+        maps_path = str(tmp_path / "maps.json")
+        save_mapset(mapset, maps_path)
+        config = self.base_config(size=6, n_agents=2, obs_radius=2, horizon=9,
+                                  goal_dist=None, mode="vdn", train_map_kind="giveway",
+                                  eval_maps=maps_path)
+        with pytest.raises(ConfigInvalid, match="covers the training maps"):
             train(config, str(tmp_path / "run"))
 
     def test_stop_at_success_halts_early(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmix.grid_world import Action, EnvConfig, env_from_record, generate
-from gridmix.observation import InactiveAgent, obs_dim, observe, project_goal
+from gridmix.observation import InactiveAgent, obs_dim, observe, observe_all, project_goal
 
 from oracles import nearest_border_cells
 
@@ -47,23 +47,23 @@ class TestObserve:
         env = generate(EnvConfig(size=8, density=0.3, n_agents=2, obs_radius=5,
                                  horizon=16, goal_dist=5, seed=4))
         obs = observe(env, 0)
-        assert obs.data.shape == (4, 11, 11)
-        assert obs.flat().shape == (484,)
+        assert obs.shape == (4, 11, 11)
+        assert obs.reshape(-1).shape == (484,)
         assert obs_dim(5) == 484
 
     def test_flat_ordering_row_major_channel_blocks(self):
         env = env_from(4, [[0, 3]], [((1, 1), (3, 3))], obs_radius=1)
         obs = observe(env, 0)
-        flat = obs.flat()
+        flat = obs.reshape(-1)
         width = 3
         for ch in range(4):
             block = flat[ch * width * width:(ch + 1) * width * width]
-            assert np.array_equal(block.reshape(width, width), obs.data[ch])
+            assert np.array_equal(block.reshape(width, width), obs[ch])
 
     def test_out_of_grid_encoded_as_obstacle(self):
         # agent in the top-left corner: everything above and left is 1
         env = env_from(6, [], [((0, 0), (5, 5))], obs_radius=2)
-        ch0 = observe(env, 0).data[0]
+        ch0 = observe(env, 0)[0]
         assert (ch0[:2, :] == 1.0).all()
         assert (ch0[:, :2] == 1.0).all()
         assert ch0[2, 2] == 0.0  # own (free) cell
@@ -71,15 +71,15 @@ class TestObserve:
     def test_center_carries_inverse_goal_distance(self):
         env = env_from(6, [], [((2, 2), (2, 5))], obs_radius=2)
         obs = observe(env, 0)
-        assert obs.data[1, 2, 2] == pytest.approx(1.0 / 3.0)
+        assert obs[1, 2, 2] == pytest.approx(1.0 / 3.0)
 
     def test_center_value_one_when_adjacent(self):
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
-        assert observe(env, 0).data[1, 2, 2] == 1.0
+        assert observe(env, 0)[1, 2, 2] == 1.0
 
     def test_sees_other_agent_not_self(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (0, 0))], obs_radius=2)
-        ch1 = observe(env, 0).data[1]
+        ch1 = observe(env, 0)[1]
         assert ch1[2, 4] == 1.0          # the other agent
         assert 0.0 < ch1[2, 2] < 1.0     # center is 1/d, never a self marker
         assert ch1.sum() == ch1[2, 4] + ch1[2, 2]
@@ -87,43 +87,43 @@ class TestObserve:
     def test_other_goal_channel(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((4, 4), (2, 3))], obs_radius=2)
         obs = observe(env, 0)
-        assert obs.data[2, 2, 3] == 1.0  # other agent's goal, in window
-        assert obs.data[2].sum() == 1.0
+        assert obs[2, 2, 3] == 1.0  # other agent's goal, in window
+        assert obs[2].sum() == 1.0
         # own goal out of window: not in channel 2, projected in channel 3
-        assert obs.data[3, 4, 4] == 1.0  # clamped (+3,+3) -> (+2,+2)
-        assert obs.data[3].sum() == 1.0
+        assert obs[3, 4, 4] == 1.0  # clamped (+3,+3) -> (+2,+2)
+        assert obs[3].sum() == 1.0
 
     def test_own_goal_inside_window_exact_cell(self):
         env = env_from(6, [], [((2, 2), (3, 3))], obs_radius=2)
         obs = observe(env, 0)
-        assert obs.data[3, 3, 3] == 1.0
-        assert obs.data[3].sum() == 1.0
+        assert obs[3, 3, 3] == 1.0
+        assert obs[3].sum() == 1.0
 
     def test_other_goals_not_projected(self):
         # the second agent's goal is far outside the first agent's window
         env = env_from(8, [], [((1, 1), (7, 7)), ((1, 3), (7, 0))], obs_radius=2)
         obs = observe(env, 0)
-        assert obs.data[2].sum() == 0.0
+        assert obs[2].sum() == 0.0
 
     def test_shared_goal_still_marked_for_other(self):
         env = env_from(6, [], [((2, 2), (2, 3)), ((4, 4), (2, 3))], obs_radius=2)
         obs = observe(env, 0)
         # another active agent shares my goal cell: channel 2 keeps the mark
-        assert obs.data[2, 2, 3] == 1.0
+        assert obs[2, 2, 3] == 1.0
 
     def test_projection_may_overlap_obstacle_marks(self):
         # channels are independent: the projected goal cell may be a wall
         env = env_from(8, [[2, 4]], [((2, 2), (2, 7))], obs_radius=2)
         obs = observe(env, 0)
-        assert obs.data[0, 2, 4] == 1.0
-        assert obs.data[3, 2, 4] == 1.0
+        assert obs[0, 2, 4] == 1.0
+        assert obs[3, 2, 4] == 1.0
 
     def test_finished_agents_invisible(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (2, 3))], obs_radius=2)
         env.step([Action.STAY, Action.LEFT])  # agent 1 reaches its goal
         obs = observe(env, 0)
-        assert obs.data[1, 2, 4] == 0.0  # no longer on the map
-        assert obs.data[2].sum() == 0.0  # its goal marker is gone too
+        assert obs[1, 2, 4] == 0.0  # no longer on the map
+        assert obs[2].sum() == 0.0  # its goal marker is gone too
 
     def test_inactive_agent_rejected(self):
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
@@ -139,7 +139,7 @@ class TestObserve:
             for i, ag in enumerate(env.agents):
                 if not ag.active:
                     continue
-                data = observe(env, i).data
+                data = observe(env, i)
                 assert (data >= 0.0).all() and (data <= 1.0).all()
                 for ch in (0, 2, 3):
                     assert set(np.unique(data[ch])) <= {0.0, 1.0}
@@ -151,4 +151,16 @@ class TestObserve:
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
         buf = np.zeros((4, 5, 5))
         obs = observe(env, 0, out=buf)
-        assert obs.data is buf
+        assert obs is buf
+
+    def test_observe_all_zeroes_inactive_rows(self):
+        env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (2, 3)), ((4, 1), (0, 0))],
+                       obs_radius=2)
+        env.step([Action.STAY, Action.LEFT, Action.STAY])  # agent 1 reaches its goal
+        buf = np.full((3, 4, 5, 5), 7.0)
+        active = observe_all(env, buf)
+        assert list(active) == [ag.active for ag in env.agents] == [True, False, True]
+        assert active.dtype == bool
+        assert (buf[1] == 0.0).all()
+        for i in (0, 2):
+            assert np.array_equal(buf[i], observe(env, i))

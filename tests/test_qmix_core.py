@@ -5,9 +5,9 @@ import pytest
 from gridmix import qmix_core as qc
 from gridmix.dense_net import NonFiniteGradient, ShapeMismatch, finite_diff_check, forward
 from gridmix.grid_world import Action
-from gridmix.qmix_core import (MixerBundle, agent_q_values, bundle_from_payload,
-                               bundle_to_payload, mix, mix_forward_batch,
-                               select_actions, sync_targets, td_targets, train_step)
+from gridmix.qmix_core import (MixerBundle, bundle_from_payload, bundle_to_payload,
+                               mix_forward_batch, select_actions, sync_targets,
+                               td_targets, train_step)
 from gridmix.replay_buffer import Batch
 
 
@@ -39,19 +39,19 @@ class TestAgentQValues:
     def test_zero_net_gives_zero_qs(self):
         bundle = make_bundle()
         bundle.theta[bundle._segments["agent"]] = 0.0
-        q = agent_q_values(bundle.agent_net, np.ones(10))
+        q, _ = forward(bundle.agent_net, np.ones(10))
         assert np.array_equal(q, np.zeros(5))
 
     def test_output_length_five(self):
         for obs_dim in (484, 196, 36):  # radii 5, 3, 1
             bundle = make_bundle(obs_dim=obs_dim)
-            q = agent_q_values(bundle.agent_net, np.zeros(obs_dim))
+            q, _ = forward(bundle.agent_net, np.zeros(obs_dim))
             assert q.shape == (5,)
 
     def test_needs_flat_observation(self):
         bundle = make_bundle()
         with pytest.raises(ShapeMismatch):
-            agent_q_values(bundle.agent_net, np.zeros((2, 10)))
+            forward(bundle.agent_net, np.zeros(11))  # not obs_dim wide
 
 
 class TestMix:
@@ -70,7 +70,8 @@ class TestMix:
         for name in ("hw1", "hb1", "hw2", "hb2"):
             bundle.theta[bundle._segments[name]] = 0.0
         for qs in (np.zeros(2), np.array([5.0, -3.0]), np.array([1e3, 1e3])):
-            assert mix(bundle.hyper, qs, np.ones(8)) == 0.0
+            q_tot, _ = mix_forward_batch(bundle.hyper, qs[None, :], np.ones((1, 8)))
+            assert q_tot[0] == 0.0
 
     def test_monotone_in_every_agent_q(self):
         rng = np.random.default_rng(7)
@@ -93,8 +94,8 @@ class TestMix:
         state = rng.normal(size=(4, 8))
         batched, _ = mix_forward_batch(bundle.hyper, qs, state)
         for k in range(4):
-            assert mix(bundle.hyper, qs[k], state[k]) == pytest.approx(
-                batched[k], rel=1e-12)
+            single, _ = mix_forward_batch(bundle.hyper, qs[k:k + 1], state[k:k + 1])
+            assert single[0] == pytest.approx(batched[k], rel=1e-12)
 
     def test_shape_errors(self):
         bundle = make_bundle()
