@@ -9,7 +9,7 @@ from .dense_net import (AdamState, NetParams, NonFiniteGradient, ShapeMismatch, 
                         Topology, adam_step, backward, clip_global_norm,
                         finite_diff_check, forward, init_params)
 from .replay_buffer import Batch, Buffer, JointTransition, Underfilled
-from .qmix_core import (HyperNets, LossReport, MixerBundle, epsilon_greedy,
+from .qmix_core import (LossReport, MixerBundle, epsilon_greedy,
                         load_bundle, save_bundle, select_actions, sync_targets,
                         td_targets, train_step)
 from .baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy, play_episode

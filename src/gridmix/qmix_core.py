@@ -18,6 +18,16 @@ b2 from a two-layer ReLU hypernetwork. Monotonicity of Q_tot in each agent
 Q-value holds by construction and makes decentralized per-agent greedy
 action selection consistent with the joint greedy action.
 
+All four hypernetworks read the same state, so their first layers are
+stored as one fused layer: a contiguous mixer block of ``theta`` after the
+agent net holds W (n*e + 3e, s) row-major, whose row blocks generate W1
+(n*e rows, abs), b1 (e, identity), W2 (e, abs) and b2's hidden layer
+(e, relu); then its bias b (n*e + 3e), then b2's output layer w5 (e) and
+b5 (1). Here n is the agent count, e the embed width and s the state
+width. The forward pass is one matmul on views of that block, and the
+backward pass writes its gradients straight into the matching views of
+the gradient buffer.
+
 Targets use hard-synced copies of all trainable parameters. Agents that
 were inactive at step start contribute a constant 0 to the mixer and
 receive no gradient. The loss is the mean squared TD error over unmasked
@@ -26,7 +36,9 @@ entries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +57,11 @@ DEFAULT_GAMMA = 0.99
 DEFAULT_LR = 5e-4
 DEFAULT_GRAD_CLIP = 10.0
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
+
+_abs, _abs_vjp = dense_net.ACTIVATIONS["abs"]
+_relu, _relu_vjp = dense_net.ACTIVATIONS["relu"]
+_elu, _elu_vjp = dense_net.ACTIVATIONS["elu"]
 
 
 def agent_topology(obs_dim: int) -> Topology:
@@ -54,27 +70,19 @@ def agent_topology(obs_dim: int) -> Topology:
                     ("relu", "relu", "identity"))
 
 
-def hyper_topologies(state_dim: int, n_agents: int, embed_dim: int) -> dict[str, Topology]:
-    """Hypernetwork shapes keyed by the mixer tensor they generate."""
-    return {
-        "hw1": Topology((state_dim, n_agents * embed_dim), ("abs",)),
-        "hb1": Topology((state_dim, embed_dim), ("identity",)),
-        "hw2": Topology((state_dim, embed_dim), ("abs",)),
-        "hb2": Topology((state_dim, embed_dim, 1), ("relu", "identity")),
-    }
+class MixerParams(NamedTuple):
+    """Views of the mixer block of one flat parameter vector.
 
+    ``W`` (n*e + 3e, s) and ``b`` form the fused hypernetwork layer on the
+    state; its row blocks generate W1 (abs), b1 (identity), W2 (abs) and the
+    hidden layer of b2 (relu). ``w5`` (1, e) and ``b5`` (1,) map that hidden
+    layer to b2.
+    """
 
-@dataclass
-class HyperNets:
-    """Weight/bias generators for the mixing network."""
-
-    hw1: NetParams
-    hb1: NetParams
-    hw2: NetParams
-    hb2: NetParams
-
-    def named(self) -> list[tuple[str, NetParams]]:
-        return [("hw1", self.hw1), ("hb1", self.hb1), ("hw2", self.hw2), ("hb2", self.hb2)]
+    W: np.ndarray
+    b: np.ndarray
+    w5: np.ndarray
+    b5: np.ndarray
 
 
 @dataclass
@@ -86,12 +94,12 @@ class LossReport:
 
 
 class MixerBundle:
-    """Trainable learner state: shared agent net, hypernets, targets, optimizer.
+    """Trainable learner state: shared agent net, mixer, targets, optimizer.
 
-    All trainable parameters live in one flat vector (``theta``) so a single
-    adaptive-moment optimizer covers agent net and hypernets jointly; the
-    target copy is a second vector synced by sync_targets(). The constructor
-    performs the initial sync.
+    All trainable parameters live in one flat vector (``theta``): the agent
+    net's layers, then (qmix only) the mixer block. A single adaptive-moment
+    optimizer covers both jointly; the target copy is a second vector synced
+    by sync_targets(). The constructor performs the initial sync.
     """
 
     def __init__(self, n_agents: int, obs_dim: int, state_dim: int,
@@ -112,161 +120,96 @@ class MixerBundle:
         self.grad_clip = grad_clip
         self.train_steps = 0
 
-        self._topologies: list[tuple[str, Topology]] = [("agent", agent_topology(obs_dim))]
-        if mode == "qmix":
-            self._topologies += list(hyper_topologies(state_dim, n_agents, embed_dim).items())
-        total = sum(t.n_params for _, t in self._topologies)
+        agent = agent_topology(obs_dim)
+        rows = (n_agents + 3) * embed_dim
+        mixer_size = rows * state_dim + rows + embed_dim + 1 if mode == "qmix" else 0
+        total = agent.n_params + mixer_size
         self.theta = np.zeros(total)
         self.theta_target = np.zeros(total)
-        self._segments: dict[str, slice] = {}
-        offset = 0
-        for name, topo in self._topologies:
-            self._segments[name] = slice(offset, offset + topo.n_params)
-            offset += topo.n_params
 
+        # agent net, then W, then w5: the same draws, in the same order, as
+        # initialising hw1, hb1, hw2 and hb2 as four separate nets
         rng = np.random.default_rng(seed)
-        self._online: dict[str, NetParams] = {}
-        self._target: dict[str, NetParams] = {}
-        for name, topo in self._topologies:
-            seg = self._segments[name]
-            self._online[name] = init_params(topo, rng, flat_out=self.theta[seg])
-            self._target[name] = NetParams(topo, self.theta_target[seg])
+        self.agent_net = init_params(agent, rng, flat_out=self.theta[:agent.n_params])
+        self.target_agent_net = NetParams(agent, self.theta_target[:agent.n_params])
+        self.mixer = self.target_mixer = None
+        if mode == "qmix":
+            self.mixer = self.mixer_views(self.theta)
+            self.target_mixer = self.mixer_views(self.theta_target)
+            bound = math.sqrt(1.0 / state_dim)
+            self.mixer.W[:] = rng.uniform(-bound, bound, size=self.mixer.W.shape)
+            bound = math.sqrt(1.0 / embed_dim)
+            self.mixer.w5[:] = rng.uniform(-bound, bound, size=self.mixer.w5.shape)
         self.adam = AdamState.for_size(total, lr=lr)
         self._grad_buf = np.zeros(total)  # reused by train_step
         sync_targets(self)
 
-    @property
-    def agent_net(self) -> NetParams:
-        return self._online["agent"]
-
-    @property
-    def target_agent_net(self) -> NetParams:
-        return self._target["agent"]
-
-    @property
-    def hyper(self) -> HyperNets:
-        if self.mode != "qmix":
-            raise ValueError(f"{self.mode} mode has no mixing hypernetworks")
-        return HyperNets(self._online["hw1"], self._online["hb1"],
-                         self._online["hw2"], self._online["hb2"])
-
-    @property
-    def target_hyper(self) -> HyperNets:
-        if self.mode != "qmix":
-            raise ValueError(f"{self.mode} mode has no mixing hypernetworks")
-        return HyperNets(self._target["hw1"], self._target["hb1"],
-                         self._target["hw2"], self._target["hb2"])
+    def mixer_views(self, flat: np.ndarray) -> MixerParams:
+        """The mixer block of ``flat`` (theta, its target or a gradient) as views."""
+        n, e, s = self.n_agents, self.embed_dim, self.state_dim
+        rows = (n + 3) * e
+        start = self.agent_net.flat.size
+        w_end = start + rows * s
+        return MixerParams(W=flat[start:w_end].reshape(rows, s),
+                           b=flat[w_end:w_end + rows],
+                           w5=flat[w_end + rows:w_end + rows + e].reshape(1, e),
+                           b5=flat[w_end + rows + e:])
 
 
-@dataclass
-class MixCache:
-    """Intermediate tensors needed to backpropagate through one mixing pass."""
-
-    hyper: HyperNets
-    state: np.ndarray
-    preacts: tuple      # (z1, z2, z3, z4, z5) hypernet pre-activations
-    h4: np.ndarray      # hb2 hidden activation
-    w1: np.ndarray      # (b, n_agents, embed)
-    w2: np.ndarray      # (b, embed)
-    hidden_pre: np.ndarray
-    hidden: np.ndarray
-    agent_qs: np.ndarray
-    hidden_activation: str
-
-
-def mix_forward_batch(hyper: HyperNets, agent_qs: np.ndarray, state: np.ndarray,
-                      hidden_activation: str = "elu") -> tuple[np.ndarray, MixCache]:
+def mix_forward_batch(mixer: MixerParams, agent_qs: np.ndarray,
+                      state: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Batched mixing pass: agent Q-values (b, n) + states (b, s) -> Q_tot (b,).
 
-    All four hypernets read the same state, so their first affine layers run
-    as one fused matmul; the per-net tapes are assembled from the slices and
-    feed the standard backward unchanged.
+    One matmul on the state computes every hypernetwork pre-activation; the
+    returned tape feeds mix_backward_batch.
     """
     agent_qs = np.asarray(agent_qs, dtype=np.float64)
     state = np.asarray(state, dtype=np.float64)
     if agent_qs.ndim != 2 or state.ndim != 2 or agent_qs.shape[0] != state.shape[0]:
         raise ShapeMismatch("agent_qs and state must be batched with equal length")
-    if state.shape[1] != hyper.hw1.topology.sizes[0]:
-        raise ShapeMismatch(
-            f"state width {state.shape[1]} != {hyper.hw1.topology.sizes[0]}")
+    if state.shape[1] != mixer.W.shape[1]:
+        raise ShapeMismatch(f"state width {state.shape[1]} != {mixer.W.shape[1]}")
     b, n = agent_qs.shape
-    nets = [net for _, net in hyper.named()]
-    w_first = [net.layers[0] for net in nets]
-    splits = np.cumsum([w.shape[0] for w, _ in w_first])[:-1]
-    z_cat = state @ np.vstack([w for w, _ in w_first]).T \
-        + np.concatenate([bias for _, bias in w_first])
-    z1, z2, z3, z4 = np.hsplit(z_cat, splits)
-    acts = [dense_net.ACTIVATIONS[net.topology.activations[0]][0] for net in nets]
-    w1_flat = acts[0](z1)
-    b1 = acts[1](z2)
-    w2 = acts[2](z3)
-    h4 = acts[3](z4)
-    w5, b5 = hyper.hb2.layers[1]
-    z5 = h4 @ w5.T + b5
-    b2 = dense_net.ACTIVATIONS[hyper.hb2.topology.activations[1]][0](z5)
-    embed = w2.shape[1]
-    if w1_flat.shape[1] != n * embed:
-        raise ShapeMismatch("hypernet output does not match n_agents * embed_dim")
-    w1 = w1_flat.reshape(b, n, embed)
+    e = mixer.w5.shape[1]
+    if mixer.W.shape[0] != (n + 3) * e:
+        raise ShapeMismatch("mixer rows do not match n_agents * embed_dim + 3 * embed_dim")
+    ne = n * e
+    z = state @ mixer.W.T + mixer.b
+    w1 = _abs(z[:, :ne]).reshape(b, n, e)
+    b1 = z[:, ne:ne + e]
+    w2 = _abs(z[:, ne + e:ne + 2 * e])
+    h4 = _relu(z[:, ne + 2 * e:])
+    b2 = h4 @ mixer.w5.T + mixer.b5
     hidden_pre = np.einsum("bn,bne->be", agent_qs, w1) + b1
-    act, _ = dense_net.ACTIVATIONS[hidden_activation]
-    hidden = act(hidden_pre)
+    hidden = _elu(hidden_pre)
     q_tot = np.einsum("be,be->b", hidden, w2) + b2[:, 0]
-    cache = MixCache(
-        hyper=hyper, state=state, preacts=(z1, z2, z3, z4, z5), h4=h4,
-        w1=w1, w2=w2, hidden_pre=hidden_pre, hidden=hidden,
-        agent_qs=agent_qs, hidden_activation=hidden_activation)
-    return q_tot, cache
+    return q_tot, (mixer, state, agent_qs, z, w1, w2, h4, hidden_pre, hidden)
 
 
-def mix_backward_batch(cache: MixCache,
-                       grad_q_tot: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradients of sum(grad_q_tot * Q_tot) w.r.t. agent Q-values and hypernets.
+def mix_backward_batch(tape: tuple, grad_q_tot: np.ndarray,
+                       grads: MixerParams) -> np.ndarray:
+    """Gradient of sum(grad_q_tot * Q_tot) w.r.t. the agent Q-values (returned).
 
-    Mirrors the fused forward: the four hypernets' first-layer weight
-    gradients come from a single concatenated matmul against the state.
+    The mixer's parameter gradients are written in full into ``grads``,
+    views of a gradient buffer laid out like the mixer block.
     """
-    g = np.asarray(grad_q_tot, dtype=np.float64)
-    b, n, _ = cache.w1.shape
-    hyper = cache.hyper
-    z1, z2, z3, z4, z5 = cache.preacts
-    _, vjp = dense_net.ACTIVATIONS[cache.hidden_activation]
-    d_w2 = g[:, None] * cache.hidden
-    d_b2 = g[:, None]
-    d_hidden = g[:, None] * cache.w2
-    d_hidden_pre = vjp(cache.hidden_pre, d_hidden)
-    d_b1 = d_hidden_pre
-    d_w1 = cache.agent_qs[:, :, None] * d_hidden_pre[:, None, :]
-    d_qs = np.einsum("bne,be->bn", cache.w1, d_hidden_pre)
-
-    nets = [net for _, net in hyper.named()]
-    vjps = [dense_net.ACTIVATIONS[net.topology.activations[0]][1] for net in nets]
-    # hb2 second layer first, to obtain the gradient at its hidden output
-    out_vjp = dense_net.ACTIVATIONS[hyper.hb2.topology.activations[1]][1]
-    dz5 = out_vjp(z5, d_b2)
-    w5, _ = hyper.hb2.layers[1]
-    gw5 = dz5.T @ cache.h4
-    gb5 = dz5.sum(axis=0)
-    dz_cat = np.hstack([
-        vjps[0](z1, d_w1.reshape(b, -1)),
-        vjps[1](z2, d_b1),
-        vjps[2](z3, d_w2),
-        vjps[3](z4, dz5 @ w5),
-    ])
-    gw_cat = dz_cat.T @ cache.state
-    gb_cat = dz_cat.sum(axis=0)
-    grads = {}
-    offset = 0
-    for name, net in hyper.named():
-        rows = net.layers[0][0].shape[0]
-        gw = gw_cat[offset:offset + rows]
-        gb = gb_cat[offset:offset + rows]
-        offset += rows
-        if name == "hb2":
-            grads[name] = np.concatenate([gw.ravel(), gb, gw5.ravel(), gb5])
-        else:
-            grads[name] = np.concatenate([gw.ravel(), gb])
-    return d_qs, grads
+    mixer, state, agent_qs, z, w1, w2, h4, hidden_pre, hidden = tape
+    g = np.asarray(grad_q_tot, dtype=np.float64)[:, None]
+    b, n, e = w1.shape
+    ne = n * e
+    d_hidden_pre = _elu_vjp(hidden_pre, g * w2)
+    d_qs = np.einsum("bne,be->bn", w1, d_hidden_pre)
+    np.matmul(g.T, h4, out=grads.w5)
+    g.sum(axis=0, out=grads.b5)
+    dz = np.empty_like(z)
+    d_w1 = (agent_qs[:, :, None] * d_hidden_pre[:, None, :]).reshape(b, ne)
+    dz[:, :ne] = _abs_vjp(z[:, :ne], d_w1)
+    dz[:, ne:ne + e] = d_hidden_pre
+    dz[:, ne + e:ne + 2 * e] = _abs_vjp(z[:, ne + e:ne + 2 * e], g * hidden)
+    dz[:, ne + 2 * e:] = _relu_vjp(z[:, ne + 2 * e:], g @ mixer.w5)
+    np.matmul(dz.T, state, out=grads.W)
+    dz.sum(axis=0, out=grads.b)
+    return d_qs
 
 
 def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
@@ -287,7 +230,7 @@ def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
     next_active = batch.active & ~batch.done
     greedy_q = greedy_q * next_active
     if bundle.mode == "qmix":
-        q_tot_next, _ = mix_forward_batch(bundle.target_hyper, greedy_q, batch.next_state)
+        q_tot_next, _ = mix_forward_batch(bundle.target_mixer, greedy_q, batch.next_state)
     else:
         q_tot_next = greedy_q.sum(axis=1)
     r_team = (batch.rewards * batch.active).sum(axis=1)
@@ -305,13 +248,12 @@ def loss_and_grad(bundle: MixerBundle, batch,
     """
     b, n = batch.actions.shape
     obs_flat = batch.obs.reshape(b * n, bundle.obs_dim)
-    q_all, tape = forward(bundle.agent_net, obs_flat)
+    q_all, agent_tape = forward(bundle.agent_net, obs_flat)
     rows = np.arange(b * n)
     act_flat = batch.actions.reshape(-1)
     chosen = q_all[rows, act_flat].reshape(b, n) * batch.active
 
     grad = grad_out if grad_out is not None else np.zeros_like(bundle.theta)
-    grads_by_name: dict[str, np.ndarray] = {}
     if bundle.mode == "iql":
         next_q_all, _ = forward(bundle.target_agent_net,
                                 batch.next_obs.reshape(b * n, bundle.obs_dim))
@@ -327,14 +269,14 @@ def loss_and_grad(bundle: MixerBundle, batch,
     else:
         y = td_targets(bundle, batch)
         if bundle.mode == "qmix":
-            q_tot, cache = mix_forward_batch(bundle.hyper, chosen, batch.state)
+            q_tot, mix_tape = mix_forward_batch(bundle.mixer, chosen, batch.state)
         else:
             q_tot = chosen.sum(axis=1)
         td = q_tot - y
         loss = float(np.square(td).mean())
         g_q_tot = (2.0 / b) * td
         if bundle.mode == "qmix":
-            d_chosen, grads_by_name = mix_backward_batch(cache, g_q_tot)
+            d_chosen = mix_backward_batch(mix_tape, g_q_tot, bundle.mixer_views(grad))
         else:
             d_chosen = np.repeat(g_q_tot[:, None], n, axis=1)
         d_chosen = d_chosen * batch.active  # no gradient into inactive slots
@@ -343,16 +285,15 @@ def loss_and_grad(bundle: MixerBundle, batch,
 
     d_q_all = np.zeros((b * n, N_ACTIONS))
     d_q_all[rows, act_flat] = d_chosen.reshape(-1)
-    grads_by_name["agent"] = backward(tape, d_q_all, need_input_grad=False)[0]
-    for name, seg in bundle._segments.items():
-        grad[seg] = grads_by_name[name]
+    grad[:bundle.agent_net.flat.size] = backward(agent_tape, d_q_all,
+                                                 need_input_grad=False)[0]
     return loss, grad, td_errors, q_tot_mean
 
 
 def train_step(bundle: MixerBundle, batch) -> LossReport:
     """One gradient step on the mean squared TD error of the batch.
 
-    Backpropagates jointly through the mixer, hypernets, and the shared
+    Backpropagates jointly through the mixer and the shared
     agent net, clips the global gradient norm, and applies the
     adaptive-moment update. Never touches the target parameters. Reports
     the pre-clip gradient norm.
@@ -415,35 +356,46 @@ def epsilon_greedy(greedy: np.ndarray, eps: float, rng: np.random.Generator | No
 # --- checkpointing ----------------------------------------------------------
 
 def bundle_to_payload(bundle: MixerBundle) -> dict:
-    return {
+    payload = {
         "format_version": BUNDLE_VERSION,
         "kind": "mixer_bundle",
         "mode": bundle.mode,
         "gamma": bundle.gamma,
+        "lr": bundle.adam.lr,
+        "grad_clip": bundle.grad_clip,
         "embed_dim": bundle.embed_dim,
         "n_agents": bundle.n_agents,
         "obs_dim": bundle.obs_dim,
         "state_dim": bundle.state_dim,
         "train_steps": bundle.train_steps,
-        "nets": {name: dense_net.params_to_payload(bundle._online[name])
-                 for name, _ in bundle._topologies},
+        "nets": {"agent": dense_net.params_to_payload(bundle.agent_net)},
     }
+    if bundle.mode == "qmix":
+        payload["mixer"] = bundle.theta[bundle.agent_net.flat.size:].tolist()
+    return payload
 
 
 def bundle_from_payload(payload: dict) -> MixerBundle:
-    if payload.get("format_version") != BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {payload.get('format_version')}")
+    version = payload.get("format_version")
+    if version != BUNDLE_VERSION:
+        raise ValueError(f"unsupported bundle version {version}; this build reads "
+                         f"version {BUNDLE_VERSION} only (retrain to get one)")
     bundle = MixerBundle(
         n_agents=payload["n_agents"], obs_dim=payload["obs_dim"],
         state_dim=payload["state_dim"], mode=payload["mode"],
-        embed_dim=payload["embed_dim"], gamma=payload["gamma"])
+        embed_dim=payload["embed_dim"], gamma=payload["gamma"],
+        lr=payload["lr"], grad_clip=payload["grad_clip"])
     bundle.train_steps = payload["train_steps"]
-    for name, _ in bundle._topologies:
-        loaded = dense_net.params_from_payload(payload["nets"][name])
-        seg = bundle._segments[name]
-        if loaded.flat.shape != bundle.theta[seg].shape:
-            raise ShapeMismatch(f"checkpoint segment {name} has wrong size")
-        bundle.theta[seg] = loaded.flat
+    agent = bundle.agent_net.flat
+    loaded = dense_net.params_from_payload(payload["nets"]["agent"]).flat
+    if loaded.shape != agent.shape:
+        raise ShapeMismatch("checkpoint agent net has wrong size")
+    agent[:] = loaded
+    if bundle.mode == "qmix":
+        mixer = np.array(payload["mixer"], dtype=np.float64)
+        if mixer.shape != bundle.theta[agent.size:].shape:
+            raise ShapeMismatch("checkpoint mixer block has wrong size")
+        bundle.theta[agent.size:] = mixer
     sync_targets(bundle)
     return bundle
 

@@ -138,13 +138,13 @@ def test_criterion_04_monotonicity():
                              embed_dim=embed, mode="qmix", seed=bundle_seed)
         qs = rng.normal(size=(40, n_agents)) * rng.uniform(0.5, 5.0)
         states = rng.normal(size=(40, state_dim)) * rng.uniform(0.5, 3.0)
-        base, _ = mix_forward_batch(bundle.hyper, qs, states)
+        base, _ = mix_forward_batch(bundle.mixer, qs, states)
         triples += 40
         for i in range(n_agents):
             for delta in (1e-3, 0.1, 1.0):
                 bumped = qs.copy()
                 bumped[:, i] += delta
-                up, _ = mix_forward_batch(bundle.hyper, bumped, states)
+                up, _ = mix_forward_batch(bundle.mixer, bumped, states)
                 worst = min(worst, float((up - base).min()))
     report("4 (monotonicity)", triples >= 1000 and worst >= -1e-12,
            f"{triples} (state, qs) pairs, worst delta {worst:.3e}")
@@ -168,7 +168,7 @@ def test_criterion_05_argmax_consistency():
                                         indexing="ij"), -1).reshape(-1, n_agents)
         qs = q[np.arange(n_agents)[None, :], profiles]
         state = rng.normal(size=state_dim)
-        q_tot, _ = mix_forward_batch(bundle.hyper, qs,
+        q_tot, _ = mix_forward_batch(bundle.mixer, qs,
                                      np.repeat(state[None, :], len(profiles), 0))
         joint = profiles[int(q_tot.argmax())]
         if not np.array_equal(joint, greedy):
@@ -201,11 +201,11 @@ def _online_path_has_kink(bundle, batch) -> bool:
     _, tape = forward(bundle.agent_net, batch.obs.reshape(b * n, bundle.obs_dim))
     if tape_has_kink(tape, threshold=1e-6):
         return True
-    for _, net in bundle.hyper.named():
-        _, tape = forward(net, batch.state)
-        if tape_has_kink(tape, threshold=1e-6):
-            return True
-    return False
+    # fused hypernet pre-activations; the b1 block (identity) has no kink
+    e = bundle.embed_dim
+    z = batch.state @ bundle.mixer.W.T + bundle.mixer.b
+    kinked = np.delete(z, np.s_[n * e:n * e + e], axis=1)
+    return bool(np.any(np.abs(kinked) < 1e-6))
 
 
 def test_criterion_06_gradient_exactness():

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from gridmix import qmix_core as qc
-from gridmix.dense_net import NonFiniteGradient, ShapeMismatch, finite_diff_check, forward
+from gridmix import dense_net
+from gridmix.dense_net import (NetParams, NonFiniteGradient, ShapeMismatch, Topology,
+                               backward, finite_diff_check, forward, init_params)
 from gridmix.grid_world import Action
 from gridmix.qmix_core import (MixerBundle, bundle_from_payload, bundle_to_payload,
                                mix_forward_batch, select_actions, sync_targets,
@@ -38,7 +40,7 @@ def random_batch(bundle, b=8, seed=0, all_active=True):
 class TestAgentQValues:
     def test_zero_net_gives_zero_qs(self):
         bundle = make_bundle()
-        bundle.theta[bundle._segments["agent"]] = 0.0
+        bundle.agent_net.flat[:] = 0.0
         q, _ = forward(bundle.agent_net, np.ones(10))
         assert np.array_equal(q, np.zeros(5))
 
@@ -56,21 +58,22 @@ class TestAgentQValues:
 
 class TestMix:
     def test_vdn_is_plain_sum(self):
+        # vdn mixes inside the loss path: Q_tot is the sum of the chosen
+        # agent Q-values, inactive agents contributing 0
         bundle = make_bundle(mode="vdn")
-        batch = random_batch(bundle, b=1)
-        batch.terminal[:] = True
-        batch.active[:] = True
-        # mixing in vdn mode happens inside the loss path: check via Q_tot
-        # of chosen actions with a crafted two-value case
-        qs = np.array([[1.0, 2.5]])
-        assert qs.sum() == 3.5
+        batch = random_batch(bundle, b=7, seed=1, all_active=False)
+        q, _ = forward(bundle.agent_net, batch.obs.reshape(-1, bundle.obs_dim))
+        chosen = q[np.arange(14), batch.actions.reshape(-1)].reshape(7, 2) * batch.active
+        _, _, td_errors, q_tot_mean = qc.loss_and_grad(bundle, batch)
+        assert q_tot_mean == chosen.sum(axis=1).mean()
+        np.testing.assert_array_equal(td_errors,
+                                      chosen.sum(axis=1) - td_targets(bundle, batch))
 
     def test_qmix_zero_hypernets_give_zero(self):
         bundle = make_bundle()
-        for name in ("hw1", "hb1", "hw2", "hb2"):
-            bundle.theta[bundle._segments[name]] = 0.0
+        bundle.theta[bundle.agent_net.flat.size:] = 0.0
         for qs in (np.zeros(2), np.array([5.0, -3.0]), np.array([1e3, 1e3])):
-            q_tot, _ = mix_forward_batch(bundle.hyper, qs[None, :], np.ones((1, 8)))
+            q_tot, _ = mix_forward_batch(bundle.mixer, qs[None, :], np.ones((1, 8)))
             assert q_tot[0] == 0.0
 
     def test_monotone_in_every_agent_q(self):
@@ -79,12 +82,12 @@ class TestMix:
             bundle = make_bundle(n_agents=3, seed=seed)
             qs = rng.normal(size=(40, 3))
             state = rng.normal(size=(40, 8))
-            base, _ = mix_forward_batch(bundle.hyper, qs, state)
+            base, _ = mix_forward_batch(bundle.mixer, qs, state)
             for i in range(3):
                 for delta in (1e-3, 0.1, 1.0):
                     bumped = qs.copy()
                     bumped[:, i] += delta
-                    up, _ = mix_forward_batch(bundle.hyper, bumped, state)
+                    up, _ = mix_forward_batch(bundle.mixer, bumped, state)
                     assert (up - base).min() >= -1e-12
 
     def test_single_sample_matches_batch(self):
@@ -92,33 +95,33 @@ class TestMix:
         rng = np.random.default_rng(3)
         qs = rng.normal(size=(4, 2))
         state = rng.normal(size=(4, 8))
-        batched, _ = mix_forward_batch(bundle.hyper, qs, state)
+        batched, _ = mix_forward_batch(bundle.mixer, qs, state)
         for k in range(4):
-            single, _ = mix_forward_batch(bundle.hyper, qs[k:k + 1], state[k:k + 1])
+            single, _ = mix_forward_batch(bundle.mixer, qs[k:k + 1], state[k:k + 1])
             assert single[0] == pytest.approx(batched[k], rel=1e-12)
 
     def test_shape_errors(self):
         bundle = make_bundle()
         with pytest.raises(ShapeMismatch):
-            mix_forward_batch(bundle.hyper, np.zeros((4, 2)), np.zeros((3, 8)))
+            mix_forward_batch(bundle.mixer, np.zeros((4, 2)), np.zeros((3, 8)))
         with pytest.raises(ShapeMismatch):
-            mix_forward_batch(bundle.hyper, np.zeros((4, 2)), np.zeros((4, 9)))
+            mix_forward_batch(bundle.mixer, np.zeros((4, 2)), np.zeros((4, 9)))
 
 
 class TestDegenerateMixer:
     def test_forced_weights_reduce_to_vdn_sum(self):
         # hypernets forced to produce W1 = ones, W2 = ones, b1 = b2 = 0 with a
-        # 1-wide mixing layer and identity hidden activation: Q_tot == sum(qs)
+        # 1-wide mixing layer; positive qs keep ELU on its identity branch,
+        # so Q_tot == sum(qs)
         bundle = make_bundle(n_agents=2, embed_dim=1)
-        for name in ("hw1", "hb1", "hw2", "hb2"):
-            bundle.theta[bundle._segments[name]] = 0.0
-        hyper = bundle.hyper
-        hyper.hw1.layers[0][1][:] = 1.0  # abs(0 + 1) = 1 for both weights
-        hyper.hw2.layers[0][1][:] = 1.0
+        bundle.theta[bundle.agent_net.flat.size:] = 0.0
+        mixer = bundle.mixer
+        mixer.b[:2] = 1.0  # W1 rows: abs(0 + 1) = 1 for both weights
+        mixer.b[3] = 1.0   # W2 row
         rng = np.random.default_rng(0)
-        qs = rng.normal(size=(16, 2))
+        qs = rng.uniform(0.1, 5.0, size=(16, 2))
         state = rng.normal(size=(16, 8))
-        q_tot, _ = mix_forward_batch(hyper, qs, state, hidden_activation="identity")
+        q_tot, _ = mix_forward_batch(mixer, qs, state)
         np.testing.assert_array_equal(q_tot, qs.sum(axis=1))
 
 
@@ -289,8 +292,7 @@ class TestSyncTargets:
 class TestSelectActions:
     def test_greedy_breaks_ties_to_lowest_code(self):
         bundle = make_bundle()
-        seg = bundle._segments["agent"]
-        bundle.theta[seg] = 0.0
+        bundle.agent_net.flat[:] = 0.0
         agent = bundle.agent_net
         w_out, b_out = agent.layers[-1]
         b_out[:] = [0.1, 0.9, 0.9, 0.0, 0.0]
@@ -335,7 +337,7 @@ class TestArgmaxConsistency:
             qs = q[np.arange(n_agents)[None, :], profiles]
             state = rng.normal(size=8)
             states = np.repeat(state[None, :], len(profiles), axis=0)
-            q_tot, _ = mix_forward_batch(bundle.hyper, qs, states)
+            q_tot, _ = mix_forward_batch(bundle.mixer, qs, states)
             joint = profiles[int(q_tot.argmax())]
             assert np.array_equal(joint, greedy)
 
@@ -350,9 +352,8 @@ class TestBundle:
     def test_vdn_and_iql_have_no_hypernets(self):
         for mode in ("vdn", "iql"):
             bundle = make_bundle(mode=mode)
-            with pytest.raises(ValueError):
-                _ = bundle.hyper
-            assert set(bundle._segments) == {"agent"}
+            assert bundle.mixer is None and bundle.target_mixer is None
+            assert bundle.theta.size == bundle.agent_net.flat.size
 
     def test_checkpoint_round_trip_bit_exact(self):
         bundle = make_bundle(seed=23)
@@ -373,3 +374,113 @@ class TestBundle:
         payload["format_version"] = 42
         with pytest.raises(ValueError):
             bundle_from_payload(payload)
+
+    @pytest.mark.parametrize("mode", ["qmix", "vdn"])
+    def test_checkpoint_keeps_lr_and_grad_clip(self, mode):
+        bundle = make_bundle(mode=mode, lr=1e-3, grad_clip=5.0)
+        clone = bundle_from_payload(bundle_to_payload(bundle))
+        assert clone.adam.lr == 1e-3
+        assert clone.grad_clip == 5.0
+        np.testing.assert_array_equal(clone.theta, bundle.theta)
+
+    def test_version_1_checkpoint_rejected(self):
+        # version 1 stored each hypernet as its own net next to the agent net
+        bundle = make_bundle()
+        payload = bundle_to_payload(bundle)
+        del payload["mixer"], payload["lr"], payload["grad_clip"]
+        payload["format_version"] = 1
+        payload["nets"].update({name: dense_net.params_to_payload(net)
+                                for name, net in reference_hypernets(bundle).items()})
+        with pytest.raises(ValueError, match="version 1"):
+            bundle_from_payload(payload)
+
+    def test_wrong_mixer_length_rejected(self):
+        payload = bundle_to_payload(make_bundle())
+        payload["mixer"] = payload["mixer"][:-1]
+        with pytest.raises(ShapeMismatch):
+            bundle_from_payload(payload)
+
+
+def hyper_topologies(bundle):
+    """The four separate hypernetworks the fused mixer layer stands for."""
+    n, e, s = bundle.n_agents, bundle.embed_dim, bundle.state_dim
+    return {
+        "hw1": Topology((s, n * e), ("abs",)),
+        "hb1": Topology((s, e), ("identity",)),
+        "hw2": Topology((s, e), ("abs",)),
+        "hb2": Topology((s, e, 1), ("relu", "identity")),
+    }
+
+
+def reference_hypernets(bundle):
+    """Copies of the mixer block's values as four dense_net networks."""
+    m = bundle.mixer
+    nets, row = {}, 0
+    for name, topo in hyper_topologies(bundle).items():
+        rows = topo.sizes[1]
+        parts = [m.W[row:row + rows].ravel(), m.b[row:row + rows]]
+        if name == "hb2":
+            parts += [m.w5.ravel(), m.b5]
+        nets[name] = NetParams(topo, np.concatenate(parts))
+        row += rows
+    return nets
+
+
+def fused_layout(bundle, flats):
+    """Per-hypernet flat vectors (keyed like hyper_topologies) in mixer-block order."""
+    topos = hyper_topologies(bundle)
+    ws, bs = [], []
+    for name, topo in topos.items():
+        n_w = topo.sizes[0] * topo.sizes[1]
+        ws.append(flats[name][:n_w])
+        bs.append(flats[name][n_w:n_w + topo.sizes[1]])
+    n_first = topos["hb2"].sizes[0] * topos["hb2"].sizes[1] + topos["hb2"].sizes[1]
+    return np.concatenate(ws + bs + [flats["hb2"][n_first:]])
+
+
+class TestFusedMixer:
+    """The fused mixer block against four separate dense_net hypernetworks."""
+
+    @pytest.mark.parametrize("n_agents,embed_dim,seed", [(2, 8, 1), (3, 4, 2), (4, 16, 3)])
+    def test_matches_separate_hypernets(self, n_agents, embed_dim, seed):
+        bundle = make_bundle(n_agents=n_agents, embed_dim=embed_dim, seed=seed)
+        rng = np.random.default_rng(seed)
+        bundle.mixer.b[:] = rng.normal(size=bundle.mixer.b.shape)
+        bundle.mixer.b5[:] = rng.normal()
+        qs = rng.normal(size=(9, n_agents))
+        state = rng.normal(size=(9, bundle.state_dim))
+        g = rng.normal(size=9)
+
+        nets = reference_hypernets(bundle)
+        outs, tapes = {}, {}
+        for name, net in nets.items():
+            outs[name], tapes[name] = forward(net, state)
+        w1 = outs["hw1"].reshape(9, n_agents, embed_dim)
+        elu, elu_vjp = dense_net.ACTIVATIONS["elu"]
+        hidden_pre = np.einsum("bn,bne->be", qs, w1) + outs["hb1"]
+        hidden = elu(hidden_pre)
+        ref_q_tot = (hidden * outs["hw2"]).sum(axis=1) + outs["hb2"][:, 0]
+        d_hidden_pre = elu_vjp(hidden_pre, g[:, None] * outs["hw2"])
+        ref_d_qs = np.einsum("bne,be->bn", w1, d_hidden_pre)
+        grad_outs = {"hw1": (qs[:, :, None] * d_hidden_pre[:, None, :]).reshape(9, -1),
+                     "hb1": d_hidden_pre, "hw2": g[:, None] * hidden, "hb2": g[:, None]}
+        ref_grad = fused_layout(bundle, {
+            name: backward(tapes[name], grad_outs[name], need_input_grad=False)[0]
+            for name in nets})
+
+        q_tot, tape = mix_forward_batch(bundle.mixer, qs, state)
+        grad = np.full(bundle.theta.size, np.nan)
+        d_qs = qc.mix_backward_batch(tape, g, bundle.mixer_views(grad))
+        np.testing.assert_allclose(q_tot, ref_q_tot, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(d_qs, ref_d_qs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad[bundle.agent_net.flat.size:], ref_grad,
+                                   rtol=1e-12, atol=0)
+
+    def test_init_matches_separate_hypernet_draws(self):
+        bundle = make_bundle(n_agents=3, obs_dim=12, state_dim=9, embed_dim=4, seed=5)
+        rng = np.random.default_rng(5)
+        agent = init_params(qc.agent_topology(12), rng)
+        hyper = {name: init_params(topo, rng).flat
+                 for name, topo in hyper_topologies(bundle).items()}
+        np.testing.assert_array_equal(bundle.theta,
+                                      np.concatenate([agent.flat, fused_layout(bundle, hyper)]))
