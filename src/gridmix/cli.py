@@ -15,8 +15,10 @@ from .grid_world import env_from_record
 from .harness import (GreedyNetPolicy, RunConfig, bench_env_stepping,
                       bench_train_loop, evaluate, train)
 from .mapsets import gen_mapset, load_mapset, save_mapset
+from .observation import obs_dim
 from .qmix_core import load_bundle
 from .render import render_episode, render_map, rollout_episode_log
+from .replay_buffer import Buffer
 
 
 def _cmd_train(args) -> int:
@@ -94,10 +96,14 @@ def _cmd_bench(args) -> int:
                             "min_buffer": max(config.batch_size, 256),
                             "eval_maps": None})
     loop = bench_train_loop(loop_cfg)
+    # the replay ring this config allocates, per entry
+    ring = Buffer(config.buffer_capacity, config.n_agents, obs_dim(config.obs_radius),
+                  3 * config.size * config.size)
     results = {
         "env_agent_steps_per_s": stepping["agent_steps_per_s"],
         "env_agent_steps_with_obs_per_s": stepping_obs["agent_steps_per_s"],
         "train_env_steps_per_s": loop["env_steps_per_s"],
+        "replay_bytes_per_entry": ring.nbytes / ring.capacity,
     }
     for key, value in results.items():
         print(f"{key}: {value:,.0f}")
@@ -140,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--viewer", type=int)
     p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("bench", help="measure stepping and train-loop throughput")
+    p = sub.add_parser("bench", help="measure stepping and train-loop throughput "
+                                     "and the replay ring's bytes per entry")
     p.add_argument("--config")
     p.add_argument("--env-steps", type=int, default=30_000)
     p.add_argument("--loop-steps", type=int, default=8_000)

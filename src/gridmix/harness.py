@@ -117,6 +117,10 @@ class RunConfig:
             raise ConfigInvalid("eps_fraction must be in [0, 1]")
         if self.eval_repeats < 1 or self.eval_map_count < 1:
             raise ConfigInvalid("eval_repeats and eval_map_count must be >= 1")
+        if self.target_sync < 1 or self.embed_dim < 1:
+            raise ConfigInvalid("target_sync and embed_dim must be >= 1")
+        if not (self.lr > 0 and self.grad_clip > 0):
+            raise ConfigInvalid("lr and grad_clip must be > 0")
 
     def env_config(self, seed: int | None = None) -> EnvConfig:
         return EnvConfig(size=self.size, density=self.density, n_agents=self.n_agents,
@@ -242,8 +246,9 @@ def _stream_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
 class _EnvSlot:
     """One training environment plus its private rng streams and obs cache.
 
-    Observation and state buffers alternate between two banks so the
-    pre-step arrays stay valid while the post-step ones are written.
+    ``obs`` and ``state`` are views of buffers that every refresh
+    overwrites; the training loop copies what it keeps before stepping or
+    resetting the slot.
     """
 
     def __init__(self, config: RunConfig, index: int, eval_hashes: set[str]):
@@ -253,12 +258,11 @@ class _EnvSlot:
         self.eval_hashes = eval_hashes
         width = 2 * config.obs_radius + 1
         self.n = config.n_agents
-        self._obs_banks = [np.zeros((self.n, 4, width, width)) for _ in range(2)]
-        self._state_banks = [np.zeros((3, config.size, config.size)) for _ in range(2)]
-        self._flip = 0
+        self._obs_buf = np.zeros((self.n, 4, width, width))
+        self._state_buf = np.zeros((3, config.size, config.size))
         self.env: EnvState | None = None
-        self.obs: np.ndarray | None = None        # (n, obs_dim) float64 view
-        self.state: np.ndarray | None = None      # (state_dim,) float64 view
+        self.obs = self._obs_buf.reshape(self.n, -1)     # (n, obs_dim) float64 view
+        self.state = self._state_buf.reshape(-1)         # (state_dim,) float64 view
         self.active: np.ndarray | None = None     # (n,) bool
         self.seen_hashes: set[str] = set()
 
@@ -286,13 +290,8 @@ class _EnvSlot:
         self._refresh()
 
     def _refresh(self) -> None:
-        env = self.env
-        obs_buf = self._obs_banks[self._flip]
-        state_buf = self._state_banks[self._flip]
-        self._flip ^= 1
-        self.active = observe_all(env, obs_buf)
-        self.obs = obs_buf.reshape(self.n, -1)
-        self.state = env.global_state(out=state_buf).reshape(-1)
+        self.active = observe_all(self.env, self._obs_buf)
+        self.env.global_state(out=self._state_buf)
 
 
 def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainResult:
@@ -371,8 +370,15 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
         last_row_steps = steps_done
         return report
 
-    n = config.n_agents
-    all_obs = np.zeros((config.n_envs * n, obs_d))
+    n, n_envs = config.n_agents, config.n_envs
+    all_obs = np.zeros((n_envs * n, obs_d))
+    # one vector step's transitions, pushed as one block; obs is all_obs
+    block = JointTransition(
+        obs=all_obs.reshape(n_envs, n, obs_d), actions=np.zeros((n_envs, n), np.int64),
+        rewards=np.zeros((n_envs, n)), next_obs=np.zeros((n_envs, n, obs_d)),
+        state=np.zeros((n_envs, state_d)), next_state=np.zeros((n_envs, state_d)),
+        done=np.zeros((n_envs, n), bool), active=np.zeros((n_envs, n), bool),
+        terminal=np.zeros(n_envs, bool))
     try:
         last_report = emit_row()  # initial row at step 0
         next_eval_at = config.eval_interval
@@ -382,24 +388,24 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
             for e, slot in enumerate(slots):
                 all_obs[e * n:(e + 1) * n] = slot.obs
             q_all, _ = forward(bundle.agent_net, all_obs)
-            greedy = q_all.argmax(axis=1).reshape(config.n_envs, n)
+            greedy = q_all.argmax(axis=1).reshape(n_envs, n)
             for e, slot in enumerate(slots):
                 actions = qmix_core.epsilon_greedy(greedy[e], eps, slot.explore_rng,
                                                    slot.active)
-                env = slot.env
-                prev_obs = slot.obs
-                prev_state = slot.state
-                prev_active = slot.active
-                outcome = env.step(actions)
+                block.state[e] = slot.state
+                block.active[e] = slot.active
+                outcome = slot.env.step(actions)
                 slot._refresh()
-                buffer.push(JointTransition(
-                    obs=prev_obs, actions=actions, rewards=outcome.rewards,
-                    next_obs=slot.obs, state=prev_state, next_state=slot.state,
-                    done=outcome.done, active=prev_active,
-                    terminal=outcome.episode_over))
+                block.actions[e] = actions
+                block.rewards[e] = outcome.rewards
+                block.next_obs[e] = slot.obs
+                block.next_state[e] = slot.state
+                block.done[e] = outcome.done
+                block.terminal[e] = outcome.episode_over
                 if outcome.episode_over:
                     slot.reset()
-            steps_done += config.n_envs
+            buffer.push(block)
+            steps_done += n_envs
 
             if buffer.size >= config.min_buffer:
                 if train_baseline is None:

@@ -265,16 +265,16 @@ def test_criterion_08_replay_uniformity():
     buf = Buffer(capacity=16, n_agents=1, obs_dim=4, state_dim=3, seed=7)
     for tag in range(16):
         buf.push(JointTransition(
-            obs=np.full((1, 4), tag, dtype=np.float32), actions=np.zeros(1),
-            rewards=np.zeros(1), next_obs=np.zeros((1, 4), dtype=np.float32),
-            state=np.full(3, tag), next_state=np.zeros(3),
+            obs=np.zeros((1, 4), dtype=np.float32), actions=np.zeros(1),
+            rewards=np.full(1, tag), next_obs=np.zeros((1, 4), dtype=np.float32),
+            state=np.zeros(3), next_state=np.zeros(3),
             done=np.zeros(1, bool), active=np.ones(1, bool), terminal=False))
     draws = 100_000
     counts = np.zeros(16)
     per_call = 16
     for _ in range(draws // per_call):
         batch = buf.sample(per_call)
-        counts += np.bincount(batch.state[:, 0].astype(int), minlength=16)
+        counts += np.bincount(batch.rewards[:, 0].astype(int), minlength=16)
     expected = draws / 16
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     p_value = float(scipy.stats.chi2.sf(chi2, df=15))

@@ -77,4 +77,8 @@ def test_bench_writes_metrics(tmp_path, capsys):
         results = json.load(fh)
     assert results["env_agent_steps_per_s"] > 0
     assert results["train_env_steps_per_s"] > 0
-    assert "recorded" in capsys.readouterr().out
+    # RunConfig defaults: 2 agents, 484-wide observations, 8x8 state
+    assert results["replay_bytes_per_entry"] == 345.0
+    out = capsys.readouterr().out
+    assert "replay_bytes_per_entry: 345" in out
+    assert "recorded" in out

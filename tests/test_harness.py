@@ -86,6 +86,21 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid):
             config.validate()
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(target_sync=0),
+        dict(embed_dim=0),
+        dict(lr=0.0),
+        dict(grad_clip=-1.0),
+    ], ids=["target_sync", "embed_dim", "lr", "grad_clip"])
+    def test_invalid_learner_fields(self, kwargs, tmp_path):
+        # rejected before any output is written, not after the step-0 row
+        config = RunConfig(**{**dict(total_steps=1000, eval_interval=500), **kwargs})
+        with pytest.raises(ConfigInvalid):
+            config.validate()
+        with pytest.raises(ConfigInvalid):
+            train(config, str(tmp_path / "run"))
+        assert not os.path.exists(tmp_path / "run" / "metrics.csv")
+
     def test_epsilon_schedule(self):
         config = RunConfig(total_steps=10_000, eval_interval=1000,
                            eps_start=1.0, eps_end=0.05, eps_fraction=0.1)
