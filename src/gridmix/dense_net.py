@@ -6,8 +6,9 @@ immediately visible to forward passes. The flat vector may itself be a view
 into a larger buffer, which lets several networks share one optimizer.
 
 Layout is layer-major: for each layer, the (n_out, n_in) weight matrix in
-row-major order, then the bias. Forward accepts a single input vector or a
-(batch, n_in) matrix; parameter gradients are summed over the batch.
+row-major order, then the bias. Forward and backward take (batch, n_in)
+matrices only (a single input is a 1-row batch); parameter gradients are
+summed over the batch.
 
 Everything is 64-bit. Subgradients at kinks: ReLU'(0) = 0, Abs'(0) = 0,
 ELU uses alpha = 1 and is smooth at 0.
@@ -152,18 +153,17 @@ class Tape:
     params: NetParams
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
-    single: bool
 
 
 def forward(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Affine + activation stack. Returns the output and a backprop tape."""
+    """Affine + activation stack on a (batch, n_in) input.
+
+    Returns the (batch, n_out) output and a backprop tape.
+    """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.topology.sizes[0]:
         raise ShapeMismatch(
-            f"input width {x.shape[-1]} != {params.topology.sizes[0]}")
+            f"input shape {x.shape} is not (batch, {params.topology.sizes[0]})")
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
     for (w, b), act in zip(params.layers, params.topology.activations):
@@ -171,8 +171,7 @@ def forward(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         z = x @ w.T + b
         preacts.append(z)
         x = ACTIVATIONS[act][0](z)
-    out = x[0] if single else x
-    return out, Tape(params, inputs, preacts, single)
+    return x, Tape(params, inputs, preacts)
 
 
 def backward(tape: Tape, grad_output: np.ndarray,
@@ -180,15 +179,13 @@ def backward(tape: Tape, grad_output: np.ndarray,
     """Exact gradients of sum(grad_output * output) w.r.t. params and input.
 
     Parameter gradients are summed over batch rows and returned as one flat
-    vector in the parameter layout; the input gradient matches the shape of
-    the forward input. Passing ``need_input_grad=False`` skips the first
-    layer's input-gradient matmul (a real saving on wide inputs) and
-    returns None in its place.
+    vector in the parameter layout; the input gradient is (batch, n_in).
+    Passing ``need_input_grad=False`` skips the first layer's
+    input-gradient matmul (a real saving on wide inputs) and returns None
+    in its place.
     """
     params = tape.params
     g = np.asarray(grad_output, dtype=np.float64)
-    if tape.single:
-        g = g[None, :]
     if g.shape != tape.preacts[-1].shape:
         raise ShapeMismatch(
             f"grad_output shape {grad_output.shape} does not match output")
@@ -204,8 +201,7 @@ def backward(tape: Tape, grad_output: np.ndarray,
             return grad_flat, None
         w, _ = params.layers[layer]
         g = dz @ w
-    grad_input = g[0] if tape.single else g
-    return grad_flat, grad_input
+    return grad_flat, g
 
 
 def tape_has_kink(tape: Tape, threshold: float = 1e-7) -> bool:

@@ -187,12 +187,10 @@ class EnvState:
     evolve bit-identically.
     """
 
-    def __init__(self, grid: GridMap, agents: list[AgentState], config: EnvConfig,
-                 rng: np.random.Generator):
+    def __init__(self, grid: GridMap, agents: list[AgentState], config: EnvConfig):
         self.grid = grid
         self.agents = agents
         self.config = config
-        self.rng = rng
         self.t = 0
         self._validate()
         self._build_caches()
@@ -359,7 +357,7 @@ def generate(config: EnvConfig) -> EnvState:
             goal = (goal_flat // size, goal_flat % size)
             agents.append(AgentState(start, goal, True, bfs_distance_field(grid, goal)))
         if len(agents) == config.n_agents:
-            return EnvState(grid, agents, config, rng)
+            return EnvState(grid, agents, config)
     raise GenerationFailed(
         f"no valid placement after {MAX_GENERATION_ATTEMPTS} attempts; "
         f"config is over-constrained: {config}")
@@ -413,4 +411,4 @@ def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
         goal_dist=None,
         seed=int(record.get("seed", 0)),
     )
-    return EnvState(grid, agents, config, np.random.default_rng(config.seed))
+    return EnvState(grid, agents, config)

@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,8 +107,8 @@ class RunConfig:
             raise ConfigInvalid("train_map_kind must be 'random' or 'giveway'")
         if self.n_envs < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
             raise ConfigInvalid("n_envs, batch_size, buffer_capacity must be >= 1")
-        if self.min_buffer < self.batch_size:
-            raise ConfigInvalid("min_buffer must be >= batch_size")
+        if not (self.batch_size <= self.min_buffer <= self.buffer_capacity):
+            raise ConfigInvalid("need batch_size <= min_buffer <= buffer_capacity")
         if self.train_every is not None and self.train_every < 1:
             raise ConfigInvalid("train_every must be >= 1")
         if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
@@ -121,6 +121,8 @@ class RunConfig:
             raise ConfigInvalid("target_sync and embed_dim must be >= 1")
         if not (self.lr > 0 and self.grad_clip > 0):
             raise ConfigInvalid("lr and grad_clip must be > 0")
+        if not (0.0 < self.gamma < 1.0):
+            raise ConfigInvalid("gamma must lie in (0, 1)")
 
     def env_config(self, seed: int | None = None) -> EnvConfig:
         return EnvConfig(size=self.size, density=self.density, n_agents=self.n_agents,
@@ -457,11 +459,7 @@ def bench_env_stepping(env_config: EnvConfig, n_steps: int = 30_000,
     n = env_config.n_agents
 
     def fresh_env() -> EnvState:
-        cfg = EnvConfig(size=env_config.size, density=env_config.density,
-                        n_agents=n, obs_radius=env_config.obs_radius,
-                        horizon=env_config.horizon, goal_dist=env_config.goal_dist,
-                        seed=int(rng.integers(2**63)))
-        return generate(cfg)
+        return generate(replace(env_config, seed=int(rng.integers(2**63))))
 
     width = 2 * env_config.obs_radius + 1
     obs_buf = np.zeros((n, 4, width, width))

@@ -16,6 +16,7 @@ greedy shortest-path rollout must fail for at least one agent.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -115,13 +116,17 @@ def _giveway_combos(size: int) -> tuple[tuple[int, int, int, int, int, int], ...
     return tuple(combos)
 
 
-def sample_giveway_record(config: EnvConfig, rng: np.random.Generator) -> dict:
-    """One random certified give-way map from the template family."""
+def _check_giveway_config(config: EnvConfig) -> None:
     if config.n_agents != 2:
         raise GenerationFailed("the give-way template family is defined for 2 agents")
     if config.horizon < config.size + 3:
         raise GenerationFailed(
             f"horizon {config.horizon} leaves no room to yield on size {config.size}")
+
+
+def sample_giveway_record(config: EnvConfig, rng: np.random.Generator) -> dict:
+    """One random certified give-way map from the template family."""
+    _check_giveway_config(config)
     combos = _giveway_combos(config.size)
     for _ in range(MAX_GIVEWAY_DRAWS):
         combo = combos[int(rng.integers(len(combos)))]
@@ -148,18 +153,10 @@ def gen_mapset(kind: str, count: int, config: EnvConfig, seed: int) -> dict:
     maps: list[dict] = []
     if kind == "random":
         for _ in range(count):
-            map_seed = int(rng.integers(2**63))
-            cfg = EnvConfig(size=config.size, density=config.density,
-                            n_agents=config.n_agents, obs_radius=config.obs_radius,
-                            horizon=config.horizon, goal_dist=config.goal_dist,
-                            seed=map_seed)
+            cfg = dataclasses.replace(config, seed=int(rng.integers(2**63)))
             maps.append(map_record(generate(cfg)))
     elif kind == "giveway":
-        if config.n_agents != 2:
-            raise GenerationFailed("the give-way template family is defined for 2 agents")
-        if config.horizon < config.size + 3:
-            raise GenerationFailed(
-                f"horizon {config.horizon} leaves no room to yield on size {config.size}")
+        _check_giveway_config(config)
         combos = _giveway_combos(config.size)
         order = rng.permutation(len(combos))
         for idx in order:

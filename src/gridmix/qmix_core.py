@@ -1,15 +1,16 @@
 """Value-factorization learner: shared agent Q-net, monotone mixer, TD training.
 
 All agents share one Q-network (homogeneous agents; identity is implicit in
-the egocentric observation). The team value is combined from per-agent
-Q-values in one of three modes:
+the egocentric observation). The three modes differ only in how per-agent
+Q-values become the value the TD error is taken on:
 
   qmix  mixing network whose weights are generated per-state by
         hypernetworks; weight generators use an absolute-value output
         activation, so the generated weights are nonnegative and the team
         value is monotone in every agent's Q-value
   vdn   plain sum of per-agent Q-values, no parameters
-  iql   no joint value; independent per-agent TD losses on the shared net
+  iql   no joint value; each agent's own value, with its own reward and TD
+        error, on the shared net
 
 The mixer computes, per sample, hidden = ELU(q . W1 + b1) and
 Q_tot = hidden . W2 + b2, where W1 and W2 come from single-layer
@@ -28,17 +29,19 @@ width. The forward pass is one matmul on views of that block, and the
 backward pass writes its gradients straight into the matching views of
 the gradient buffer.
 
-Targets use hard-synced copies of all trainable parameters. Agents that
-were inactive at step start contribute a constant 0 to the mixer and
-receive no gradient. The loss is the mean squared TD error over unmasked
-entries.
+The learner has one path for all modes: the mode's value of the chosen
+Q-values (_mix, the only place it branches on mode), one TD error against
+td_targets, one loss and one backward pass. Targets use hard-synced copies of all
+trainable parameters. Agents that were inactive at step start contribute
+a constant 0 to the value and receive no gradient. The loss is the mean
+squared TD error over unmasked entries (samples, or iql's active agents).
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -212,82 +215,82 @@ def mix_backward_batch(tape: tuple, grad_q_tot: np.ndarray,
     return d_qs
 
 
-def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
-    """Per-sample regression targets y_tot, computed from the target copies.
+def _mix(bundle: MixerBundle, mixer: MixerParams | None, qs: np.ndarray,
+         state: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Per-agent Q-values (b, n) -> the value the TD error is taken on.
 
-    Next-step greedy Q-values come from decentralized per-agent maxima of
+    qmix mixes them into Q_tot (b,), vdn sums them (b,) and iql keeps each
+    agent's value (b, n). Returns the value and its backward map
+    ``(grad_value, grad) -> grad_qs``, which writes qmix's mixer gradients
+    into the mixer block of the flat gradient ``grad``. The only place the
+    learner branches on mode.
+    """
+    if bundle.mode == "qmix":
+        q_tot, tape = mix_forward_batch(mixer, qs, state)
+        return q_tot, lambda g, grad: mix_backward_batch(tape, g, bundle.mixer_views(grad))
+    if bundle.mode == "vdn":
+        return qs.sum(axis=1), lambda g, grad: np.repeat(g[:, None], qs.shape[1], axis=1)
+    return qs, lambda g, grad: g
+
+
+def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
+    """Regression targets from the target copies: (b,) for qmix and vdn, (b, n) for iql.
+
+    y = r + gamma * not_terminal * value(max_a Q'(o', a) * (active & ~done)),
+    where value is the mode's combination of per-agent values (see _mix)
+    and r is the team reward (qmix, vdn) or each active agent's reward
+    (iql). Next-step greedy Q-values are decentralized per-agent maxima of
     the target agent net; the monotone mixer makes this equal to the joint
-    greedy value. Agents that are off the map at the next step contribute a
-    constant 0. Terminal samples (all agents done, or truncation) receive
+    greedy value. Agents that are off the map at the next step contribute
+    a constant 0. Terminal samples (all agents done, or truncation) receive
     no bootstrap term.
     """
-    if bundle.mode == "iql":
-        raise ValueError("iql mode has no joint target; see train_step")
     b, n = batch.actions.shape
     next_q_all, _ = forward(bundle.target_agent_net,
                             batch.next_obs.reshape(b * n, bundle.obs_dim))
-    greedy_q = next_q_all.max(axis=1).reshape(b, n)
-    next_active = batch.active & ~batch.done
-    greedy_q = greedy_q * next_active
-    if bundle.mode == "qmix":
-        q_tot_next, _ = mix_forward_batch(bundle.target_mixer, greedy_q, batch.next_state)
+    greedy_q = next_q_all.max(axis=1).reshape(b, n) * (batch.active & ~batch.done)
+    next_value, _ = _mix(bundle, bundle.target_mixer, greedy_q, batch.next_state)
+    reward = batch.rewards * batch.active
+    not_terminal = ~batch.terminal
+    if next_value.ndim == 2:
+        not_terminal = not_terminal[:, None]
     else:
-        q_tot_next = greedy_q.sum(axis=1)
-    r_team = (batch.rewards * batch.active).sum(axis=1)
-    return r_team + bundle.gamma * (~batch.terminal) * q_tot_next
+        reward = reward.sum(axis=1)
+    return reward + bundle.gamma * not_terminal * next_value
 
 
 def loss_and_grad(bundle: MixerBundle, batch,
                   grad_out: np.ndarray | None = None
                   ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Loss, flat gradient over theta, per-sample TD errors, Q_tot batch mean.
+    """Loss, flat gradient over theta, TD errors, and the batch mean of Q_tot.
 
-    Targets are constants: no gradient flows through the target copies.
+    The loss is the mean squared TD error over the unmasked entries: every
+    sample for qmix and vdn, every active agent for iql (inactive agents'
+    errors are 0). Q_tot is the sum of the agents' values for iql. Targets
+    are constants: no gradient flows through the target copies.
     ``grad_out`` may provide a reusable gradient buffer; it is overwritten
     in full.
     """
     b, n = batch.actions.shape
-    obs_flat = batch.obs.reshape(b * n, bundle.obs_dim)
-    q_all, agent_tape = forward(bundle.agent_net, obs_flat)
+    q_all, agent_tape = forward(bundle.agent_net, batch.obs.reshape(b * n, bundle.obs_dim))
     rows = np.arange(b * n)
     act_flat = batch.actions.reshape(-1)
     chosen = q_all[rows, act_flat].reshape(b, n) * batch.active
 
     grad = grad_out if grad_out is not None else np.zeros_like(bundle.theta)
-    if bundle.mode == "iql":
-        next_q_all, _ = forward(bundle.target_agent_net,
-                                batch.next_obs.reshape(b * n, bundle.obs_dim))
-        greedy_q = next_q_all.max(axis=1).reshape(b, n)
-        alive_next = batch.active & ~batch.done & ~batch.terminal[:, None]
-        y = batch.rewards + bundle.gamma * alive_next * greedy_q
-        td = (chosen - y) * batch.active
-        n_unmasked = int(batch.active.sum())
-        loss = float(np.square(td).sum() / n_unmasked)
-        d_chosen = (2.0 / n_unmasked) * td
-        q_tot_mean = float(chosen.sum(axis=1).mean())
-        td_errors = td
-    else:
-        y = td_targets(bundle, batch)
-        if bundle.mode == "qmix":
-            q_tot, mix_tape = mix_forward_batch(bundle.mixer, chosen, batch.state)
-        else:
-            q_tot = chosen.sum(axis=1)
-        td = q_tot - y
-        loss = float(np.square(td).mean())
-        g_q_tot = (2.0 / b) * td
-        if bundle.mode == "qmix":
-            d_chosen = mix_backward_batch(mix_tape, g_q_tot, bundle.mixer_views(grad))
-        else:
-            d_chosen = np.repeat(g_q_tot[:, None], n, axis=1)
-        d_chosen = d_chosen * batch.active  # no gradient into inactive slots
-        q_tot_mean = float(q_tot.mean())
-        td_errors = td
+    y = td_targets(bundle, batch)
+    value, value_backward = _mix(bundle, bundle.mixer, chosen, batch.state)
+    td = value - y
+    n_terms = int(batch.active.sum()) if td.ndim == 2 else b
+    loss = float(np.square(td).sum() / n_terms)
+    # no gradient into inactive slots
+    d_chosen = value_backward((2.0 / n_terms) * td, grad) * batch.active
 
     d_q_all = np.zeros((b * n, N_ACTIONS))
     d_q_all[rows, act_flat] = d_chosen.reshape(-1)
     grad[:bundle.agent_net.flat.size] = backward(agent_tape, d_q_all,
                                                  need_input_grad=False)[0]
-    return loss, grad, td_errors, q_tot_mean
+    return loss, grad, td, float(value.reshape(b, -1).sum(axis=1).mean())
 
 
 def train_step(bundle: MixerBundle, batch) -> LossReport:

@@ -36,7 +36,7 @@ class TestForward:
         params = NetParams.zeros(topo)
         w, b = params.layers[0]
         w[:] = np.eye(3)
-        x = np.array([1.5, -2.0, 0.25])
+        x = np.array([[1.5, -2.0, 0.25]])
         out, _ = forward(params, x)
         assert np.array_equal(out, x)
 
@@ -45,15 +45,15 @@ class TestForward:
         params = NetParams.zeros(topo)
         params.layers[0][0][:] = 1.0
         params.layers[0][1][:] = -3.0  # pre-activation -3 at x=0
-        out, _ = forward(params, np.zeros(1))
-        assert out[0] == 3.0
+        out, _ = forward(params, np.zeros((1, 1)))
+        assert out[0, 0] == 3.0
 
     def test_relu_clamps_negative(self):
         topo = Topology((1, 1), ("relu",))
         params = NetParams.zeros(topo)
         params.layers[0][1][:] = -2.5
-        out, _ = forward(params, np.zeros(1))
-        assert out[0] == 0.0
+        out, _ = forward(params, np.zeros((1, 1)))
+        assert out[0, 0] == 0.0
 
     def test_batch_matches_single(self):
         # batched and single-row GEMMs may round differently in the last ulps
@@ -62,41 +62,50 @@ class TestForward:
         xs = np.random.default_rng(1).normal(size=(5, 4))
         batch_out, _ = forward(params, xs)
         for k in range(5):
-            single_out, _ = forward(params, xs[k])
-            np.testing.assert_allclose(batch_out[k], single_out, rtol=1e-12)
+            single_out, _ = forward(params, xs[k:k + 1])
+            np.testing.assert_allclose(batch_out[k], single_out[0], rtol=1e-12)
 
     def test_shape_mismatch(self):
         params = random_net(Topology((4, 2), ("relu",)), 0)
         with pytest.raises(ShapeMismatch):
-            forward(params, np.zeros(5))
+            forward(params, np.zeros((1, 5)))
+
+    def test_one_d_input_rejected(self):
+        # one input is a 1-row batch; a bare vector is not accepted
+        params = random_net(Topology((4, 2), ("relu",)), 0)
+        with pytest.raises(ShapeMismatch):
+            forward(params, np.zeros(4))
+        _, tape = forward(params, np.zeros((1, 4)))
+        with pytest.raises(ShapeMismatch):
+            backward(tape, np.zeros(2))
 
 
 class TestBackward:
     def test_zero_output_gradient(self):
         topo = Topology((3, 5, 2), ("relu", "identity"))
         params = random_net(topo, 2)
-        out, tape = forward(params, np.ones(3))
-        grad, grad_in = backward(tape, np.zeros(2))
+        out, tape = forward(params, np.ones((1, 3)))
+        grad, grad_in = backward(tape, np.zeros((1, 2)))
         assert np.array_equal(grad, np.zeros_like(grad))
-        assert np.array_equal(grad_in, np.zeros(3))
+        assert np.array_equal(grad_in, np.zeros((1, 3)))
 
     def test_single_linear_neuron(self):
         # y = w x: dy/dw == x and dy/dx == w
         topo = Topology((1, 1), ("identity",))
         params = NetParams.zeros(topo)
         params.layers[0][0][:] = 2.0
-        _, tape = forward(params, np.array([3.0]))
-        grad, grad_in = backward(tape, np.array([1.0]))
+        _, tape = forward(params, np.array([[3.0]]))
+        grad, grad_in = backward(tape, np.array([[1.0]]))
         assert grad[0] == 3.0  # weight gradient
         assert grad[1] == 1.0  # bias gradient
-        assert grad_in[0] == 2.0
+        assert grad_in[0, 0] == 2.0
 
     def test_input_grad_skippable(self):
         topo = Topology((3, 2), ("identity",))
         params = random_net(topo, 3)
-        _, tape = forward(params, np.ones(3))
-        grad, grad_in = backward(tape, np.ones(2), need_input_grad=False)
-        full_grad, _ = backward(tape, np.ones(2))
+        _, tape = forward(params, np.ones((1, 3)))
+        grad, grad_in = backward(tape, np.ones((1, 2)), need_input_grad=False)
+        full_grad, _ = backward(tape, np.ones((1, 2)))
         assert np.array_equal(grad, full_grad)
         assert grad_in is None
 

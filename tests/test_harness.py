@@ -80,6 +80,8 @@ class TestRunConfig:
         dict(eps_start=0.1, eps_end=0.5),
         dict(size=1),
         dict(train_every=0),
+        dict(min_buffer=200, buffer_capacity=100),
+        dict(gamma=1.0),
     ])
     def test_invalid_configs(self, kwargs):
         config = RunConfig(**{**dict(total_steps=1000, eval_interval=500), **kwargs})

@@ -41,19 +41,19 @@ class TestAgentQValues:
     def test_zero_net_gives_zero_qs(self):
         bundle = make_bundle()
         bundle.agent_net.flat[:] = 0.0
-        q, _ = forward(bundle.agent_net, np.ones(10))
-        assert np.array_equal(q, np.zeros(5))
+        q, _ = forward(bundle.agent_net, np.ones((1, 10)))
+        assert np.array_equal(q, np.zeros((1, 5)))
 
     def test_output_length_five(self):
         for obs_dim in (484, 196, 36):  # radii 5, 3, 1
             bundle = make_bundle(obs_dim=obs_dim)
-            q, _ = forward(bundle.agent_net, np.zeros(obs_dim))
-            assert q.shape == (5,)
+            q, _ = forward(bundle.agent_net, np.zeros((1, obs_dim)))
+            assert q.shape == (1, 5)
 
     def test_needs_flat_observation(self):
         bundle = make_bundle()
         with pytest.raises(ShapeMismatch):
-            forward(bundle.agent_net, np.zeros(11))  # not obs_dim wide
+            forward(bundle.agent_net, np.zeros((1, 11)))  # not obs_dim wide
 
 
 class TestMix:
@@ -168,10 +168,20 @@ class TestTdTargets:
                     + bundle.gamma * greedy[:, 0])  # only agent 0 bootstraps
         np.testing.assert_allclose(y, expected, rtol=1e-12)
 
-    def test_iql_has_no_joint_target(self):
-        bundle = make_bundle(mode="iql")
-        with pytest.raises(ValueError):
-            td_targets(bundle, random_batch(bundle))
+    def test_iql_targets_are_per_agent(self):
+        # y = r + gamma * not_terminal * max Q' * (active & ~done), per agent
+        bundle = make_bundle(mode="iql", n_agents=3)
+        batch = random_batch(bundle, b=12, seed=6, all_active=False)
+        y = td_targets(bundle, batch)
+        assert y.shape == (12, 3)
+        next_q, _ = forward(bundle.target_agent_net,
+                            batch.next_obs.reshape(-1, bundle.obs_dim))
+        greedy = next_q.max(axis=1).reshape(12, 3)
+        bootstrap = batch.active & ~batch.done & ~batch.terminal[:, None]
+        expected = np.where(batch.active, batch.rewards, 0.0) \
+            + np.where(bootstrap, bundle.gamma * greedy, 0.0)
+        np.testing.assert_allclose(y, expected, rtol=1e-15)
+        assert np.all(y[~batch.active] == 0.0)
 
 
 class TestTrainStep:
@@ -217,8 +227,9 @@ class TestTrainStep:
         np.testing.assert_array_equal(reports[0].td_errors, reports[1].td_errors)
         np.testing.assert_array_equal(thetas[0], thetas[1])
 
-    def test_loss_is_mean_squared_td_error(self):
-        bundle = make_bundle(seed=14)
+    @pytest.mark.parametrize("mode", ["qmix", "vdn"])
+    def test_loss_is_mean_squared_td_error(self, mode):
+        bundle = make_bundle(mode=mode, seed=14)
         batch = random_batch(bundle, b=9, seed=9)
         report = train_step(bundle, batch)
         assert report.loss == pytest.approx(float(np.square(report.td_errors).mean()),
@@ -272,7 +283,7 @@ class TestTrainStep:
 class TestSyncTargets:
     def test_constructor_syncs(self):
         bundle = make_bundle(seed=18)
-        x = np.random.default_rng(0).normal(size=10)
+        x = np.random.default_rng(0).normal(size=(1, 10))
         online, _ = forward(bundle.agent_net, x)
         target, _ = forward(bundle.target_agent_net, x)
         np.testing.assert_array_equal(online, target)
@@ -364,7 +375,7 @@ class TestBundle:
         assert clone.gamma == bundle.gamma
         assert clone.embed_dim == bundle.embed_dim
         assert clone.train_steps == bundle.train_steps
-        x = np.random.default_rng(1).normal(size=10)
+        x = np.random.default_rng(1).normal(size=(1, 10))
         a, _ = forward(bundle.agent_net, x)
         b, _ = forward(clone.agent_net, x)
         np.testing.assert_array_equal(a, b)

@@ -1,0 +1,98 @@
+"""Digests of fixed training runs, to show that a change keeps outputs byte-identical.
+
+Each run below trains with a counter clock and prints one line: the run's
+name, the sha256 of ``metrics.csv`` without its ``wall_s`` column, and the
+sha256 of ``checkpoint.json``. Run it against two source trees and compare:
+
+    PYTHONPATH=src python3 tools/determinism_digest.py > after.txt
+    PYTHONPATH=/path/to/parent/src python3 tools/determinism_digest.py > before.txt
+    diff before.txt after.txt
+
+Use the same BLAS thread setting for both trees. ``--only NAME``
+(repeatable) limits the runs; the four take a few minutes in all on one
+core.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import io
+import os
+import tempfile
+
+from gridmix import EnvConfig, RunConfig, gen_mapset, save_mapset, train
+
+GIVEWAY_EVAL = "giveway70.json"
+
+
+def _giveway(mode: str, maps_path: str) -> RunConfig:
+    # the criteria 10/11 give-way config, first seed, at 20k steps
+    return RunConfig(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
+                     goal_dist=None, seed=31, mode=mode, total_steps=20_000,
+                     eval_interval=20_000, eval_maps=maps_path,
+                     train_map_kind="giveway", buffer_capacity=50_000)
+
+
+def configs(workdir: str) -> dict[str, RunConfig]:
+    maps_path = os.path.join(workdir, GIVEWAY_EVAL)
+    return {
+        # criterion 7
+        "qmix-criterion7": RunConfig(
+            size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16, goal_dist=5,
+            seed=17, mode="qmix", total_steps=20_000, eval_interval=5_000,
+            eval_map_count=12, buffer_capacity=30_000),
+        "vdn-giveway": _giveway("vdn", maps_path),
+        "iql-giveway": _giveway("iql", maps_path),
+        # criterion 9, first seed, without stop_at_success
+        "iql-single-agent": RunConfig(
+            size=8, density=0.3, n_agents=1, obs_radius=5, horizon=16, goal_dist=5,
+            seed=101, mode="iql", total_steps=20_000, eval_interval=15_000,
+            eval_map_count=50, buffer_capacity=50_000),
+    }
+
+
+def metrics_digest(path: str) -> str:
+    """sha256 of the metrics file with the wall_s column dropped."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    comments = [line for line in lines if line.startswith("#")]
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    drop = rows[0].index("wall_s")
+    out = io.StringIO()
+    out.writelines(comments)
+    csv.writer(out).writerows([c for i, c in enumerate(row) if i != drop] for row in rows)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", action="append", default=[], metavar="NAME",
+                        help="run only this config (repeatable)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        runs = configs(workdir)
+        unknown = set(args.only) - set(runs)
+        if unknown:
+            parser.error(f"unknown run {sorted(unknown)}; choose from {sorted(runs)}")
+        base = EnvConfig(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
+                         goal_dist=None, seed=0)
+        save_mapset(gen_mapset("giveway", 70, base, seed=12345),
+                    os.path.join(workdir, GIVEWAY_EVAL))
+        for name, config in runs.items():
+            if args.only and name not in args.only:
+                continue
+            ticks = iter(range(1, 1 << 62))
+            result = train(config, os.path.join(workdir, name),
+                           time_fn=lambda: float(next(ticks)))
+            print(f"{name}  metrics {metrics_digest(result.metrics_path)}  "
+                  f"checkpoint {file_digest(result.checkpoint_path)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
