@@ -1,8 +1,12 @@
-"""Non-learned reference policies.
+"""Non-learned reference policies and the rollout loop every evaluation uses.
 
-A policy exposes ``start_episode(map_index, repeat)`` and
-``actions(env) -> (n_agents,) int array``; the evaluator drives either a
-baseline or a trained bundle through the same interface.
+A policy exposes ``actions(envs, keys) -> (E, n_agents) int array``: one
+action row per env of the list, where ``keys[e]`` is env e's
+``(map_index, repeat)``. Inactive agents get Stay. A policy that keeps
+per-episode state starts it when it sees an env at ``t == 0``, so one
+policy object can play any number of episodes, in any grouping, with the
+same result. The evaluator drives a baseline or a trained bundle through
+this interface, and play_episode steps a list of envs in lockstep.
 """
 from __future__ import annotations
 
@@ -14,21 +18,23 @@ N_ACTIONS = 5
 
 
 class RandomPolicy:
-    """Uniform over the 5 actions, reseeded per (map, repeat) for determinism."""
+    """Uniform over the 5 actions; one stream per (seed, map, repeat), so an
+    episode's draws do not depend on what else is played beside it."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
-    def start_episode(self, map_index: int = 0, repeat: int = 0) -> None:
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence((self.seed, map_index, repeat)))
-
-    def actions(self, env: EnvState) -> np.ndarray:
-        acts = np.full(env.n_agents, int(Action.STAY), dtype=np.int64)
-        for i, ag in enumerate(env.agents):
-            if ag.active:
-                acts[i] = int(self._rng.integers(N_ACTIONS))
+    def actions(self, envs: list[EnvState], keys) -> np.ndarray:
+        acts = np.full((len(envs), envs[0].n_agents), int(Action.STAY), dtype=np.int64)
+        for e, (env, key) in enumerate(zip(envs, keys)):
+            if env.t == 0:
+                self._streams[key] = np.random.default_rng(
+                    np.random.SeedSequence((self.seed, *key)))
+            rng = self._streams[key]
+            for i, ag in enumerate(env.agents):
+                if ag.active:
+                    acts[e, i] = int(rng.integers(N_ACTIONS))
         return acts
 
 
@@ -38,36 +44,43 @@ class GreedyBfsPolicy:
     other agents intend to do. Blocked and off-grid neighbors never win
     (their distance is infinite)."""
 
-    def start_episode(self, map_index: int = 0, repeat: int = 0) -> None:
-        pass
-
-    def actions(self, env: EnvState) -> np.ndarray:
-        size = env.grid.size
-        acts = np.full(env.n_agents, int(Action.STAY), dtype=np.int64)
-        for i, ag in enumerate(env.agents):
-            if not ag.active:
-                continue
-            r, c = ag.pos
-            best_d = np.inf
-            best_a = int(Action.STAY)
-            for code in (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT):
-                dr, dc = ACTION_DELTAS[code]
-                nr, nc = r + dr, c + dc
-                if not (0 <= nr < size and 0 <= nc < size):
+    def actions(self, envs: list[EnvState], keys) -> np.ndarray:
+        acts = np.full((len(envs), envs[0].n_agents), int(Action.STAY), dtype=np.int64)
+        for e, env in enumerate(envs):
+            size = env.grid.size
+            for i, ag in enumerate(env.agents):
+                if not ag.active:
                     continue
-                d = ag.dist_field[nr, nc]
-                if d < best_d:
-                    best_d = d
-                    best_a = int(code)
-            acts[i] = best_a
+                r, c = ag.pos
+                best_d = np.inf
+                best_a = int(Action.STAY)
+                for code in (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT):
+                    dr, dc = ACTION_DELTAS[code]
+                    nr, nc = r + dr, c + dc
+                    if not (0 <= nr < size and 0 <= nc < size):
+                        continue
+                    d = ag.dist_field[nr, nc]
+                    if d < best_d:
+                        best_d = d
+                        best_a = int(code)
+                acts[e, i] = best_a
         return acts
 
 
-def play_episode(env: EnvState, policy) -> np.ndarray:
-    """Step ``policy`` on ``env`` until the episode ends; per-agent goal-reached flags."""
-    reached = np.zeros(env.n_agents, dtype=bool)
-    while not env.episode_over:
-        reached |= env.step(policy.actions(env)).done
+def play_episode(envs: list[EnvState], policy, keys) -> np.ndarray:
+    """Step every env in lockstep until each episode ends; (E, n) goal-reached flags.
+
+    Each timestep asks ``policy`` once for the actions of every env still
+    playing (a finished env leaves the list) and then steps those envs in
+    list order. ``keys[e]`` is env e's ``(map_index, repeat)``.
+    """
+    reached = np.zeros((len(envs), envs[0].n_agents), dtype=bool)
+    live = [e for e, env in enumerate(envs) if not env.episode_over]
+    while live:
+        acts = policy.actions([envs[e] for e in live], [keys[e] for e in live])
+        for e, row in zip(live, acts):
+            reached[e] |= envs[e].step(row).done
+        live = [e for e in live if not envs[e].episode_over]
     return reached
 
 

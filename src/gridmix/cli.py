@@ -37,7 +37,11 @@ def _cmd_eval(args) -> int:
     else:
         policy = load_bundle(args.ckpt)
     mapset = load_mapset(args.maps)
-    report = evaluate(policy, mapset, repeats=args.repeats)
+    try:
+        report = evaluate(policy, mapset, repeats=args.repeats)
+    except ValueError as exc:
+        print(f"eval: {exc}", file=sys.stderr)
+        return 2
     print(f"maps: {len(report.per_map)}  repeats: {args.repeats}")
     print(f"mean success: {report.mean:.4f}")
     if args.out:

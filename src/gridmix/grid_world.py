@@ -12,10 +12,11 @@ map generation.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -214,10 +215,9 @@ class EnvState:
         rad = self.config.obs_radius
         pad = size + 2 * rad
         self._blocked_f64 = self.grid.blocked.astype(np.float64)
-        self._pad_obstacles = np.ones((pad, pad), dtype=np.float64)
+        self._home(np.zeros((1, 3, pad, pad), dtype=np.float64), 0)
+        self._pad_obstacles[:] = 1.0
         self._pad_obstacles[rad:rad + size, rad:rad + size] = self._blocked_f64
-        self._pad_agents = np.zeros((pad, pad), dtype=np.float64)
-        self._pad_goals = np.zeros((pad, pad), dtype=np.float64)
         self._occ = bytearray(size * size)
         for ag in self.agents:
             if ag.active:
@@ -226,6 +226,20 @@ class EnvState:
                 self._pad_agents[r + rad, c + rad] = 1.0
                 gr, gc = ag.goal
                 self._pad_goals[gr + rad, gc + rad] += 1.0
+
+    def _home(self, stack: np.ndarray, row: int) -> None:
+        # the padded obstacle, agent and goal planes are views of stack[row]
+        self._stack, self._row = stack, row
+        self._pad_obstacles, self._pad_agents, self._pad_goals = stack[row]
+
+    def clone(self) -> "EnvState":
+        """An independent copy of the mutable state; the grid and the
+        agents' distance fields are shared, not copied."""
+        twin = copy.copy(self)
+        twin.agents = [replace(ag) for ag in self.agents]
+        twin._occ = bytearray(self._occ)
+        twin._home(self._stack[self._row][None].copy(), 0)
+        return twin
 
     @property
     def n_agents(self) -> int:
@@ -319,6 +333,34 @@ class EnvState:
         g[1] = self._pad_agents[rad:rad + size, rad:rad + size]
         np.greater(self._pad_goals[rad:rad + size, rad:rad + size], 0.0, out=g[2])
         return g
+
+
+def stack_planes(envs: list[EnvState]) -> None:
+    """Move the envs' padded observation planes into one (E, 3, pad, pad) array.
+
+    Row e holds env e's obstacle, agent and goal planes, and that env's
+    caches become views of the row, so stepping it keeps the stack
+    current. Every env needs the same size and view radius.
+    """
+    shapes = {env._stack.shape[1:] for env in envs}
+    if len(shapes) != 1:
+        raise ValueError(f"envs have different padded plane shapes {sorted(shapes)}")
+    stack = np.empty((len(envs),) + shapes.pop(), dtype=np.float64)
+    for e, env in enumerate(envs):
+        stack[e] = env._stack[env._row]
+        env._home(stack, e)
+
+
+def shared_planes(envs: list[EnvState]) -> tuple[np.ndarray, list[int]]:
+    """One array holding every env's padded planes, and each env's row in it.
+
+    That is the envs' common stack when stack_planes() built one for them
+    (always so for a single env); otherwise a stacked copy.
+    """
+    stack = envs[0]._stack
+    if all(env._stack is stack for env in envs):
+        return stack, [env._row for env in envs]
+    return np.stack([env._stack[env._row] for env in envs]), list(range(len(envs)))
 
 
 def generate(config: EnvConfig) -> EnvState:

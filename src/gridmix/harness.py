@@ -12,8 +12,14 @@ Per-environment RNG streams are keyed by (run seed, stream tag, env
 index), which makes results independent of scheduling and reproducible
 regardless of how many instances run.
 
-evaluate() rolls a greedy policy (or a baseline) over every map of a set,
-in map-index order.
+evaluate() rolls a greedy policy (or a baseline) over every map of a set
+with lockstep rollouts. The set plays in blocks: a block is a run of
+consecutive maps, in map-index order, times all their repeats, capped at
+EVAL_BLOCK_ROWS agents. A map's repeats share its grid and BFS fields.
+Every episode of a block advances together: per timestep one observation
+gather and one agent-net forward cover every active agent of every live
+episode, and finished episodes drop out. A baseline policy gets the same
+env lists through the same interface.
 """
 from __future__ import annotations
 
@@ -28,10 +34,11 @@ import numpy as np
 from . import qmix_core
 from .baselines import play_episode
 from .dense_net import forward
-from .grid_world import EnvConfig, EnvState, env_from_record, generate, map_hash, map_record
+from .grid_world import (Action, EnvConfig, EnvState, env_from_record, generate,
+                         map_hash, map_record, stack_planes)
 from .mapsets import gen_mapset, load_mapset, mapset_hash, sample_giveway_record
-from .observation import obs_dim, observe_all
-from .qmix_core import MixerBundle, load_bundle, save_bundle, select_actions
+from .observation import obs_dim, observe_all, observe_envs
+from .qmix_core import MixerBundle, load_bundle, save_bundle
 from .replay_buffer import Buffer, JointTransition
 
 # rng stream tags; fixed constants are part of the determinism contract
@@ -45,6 +52,11 @@ _TAG_EVALSET = 5
 # before a reset gives up; only an evaluation set that covers (nearly) the
 # whole training family gets there
 MAX_RESET_DRAWS = 4096
+
+# agent rows per lockstep evaluation block: larger blocks make fewer, wider
+# acting forwards but hold every episode's planes and the forward's
+# activations at once, and peak memory grows with the block
+EVAL_BLOCK_ROWS = 512
 
 METRICS_COLUMNS = ("steps", "loss_mean", "q_tot_mean", "grad_norm",
                    "eval_success_mean", "eval_success_per_map_json", "wall_s")
@@ -162,22 +174,18 @@ class TrainResult:
 
 
 class GreedyNetPolicy:
-    """Greedy (eps = 0) action selection from a trained bundle."""
+    """Greedy (eps = 0) action selection from a trained bundle: one window
+    gather and one agent-net forward over every active agent of the envs."""
 
     def __init__(self, bundle: MixerBundle):
         self.bundle = bundle
-        self._obs: np.ndarray | None = None  # (n, 4, 2R+1, 2R+1), reused across steps
 
-    def start_episode(self, map_index: int = 0, repeat: int = 0) -> None:
-        pass
-
-    def actions(self, env: EnvState) -> np.ndarray:
-        n = env.n_agents
-        width = 2 * env.config.obs_radius + 1
-        if self._obs is None or self._obs.shape != (n, 4, width, width):
-            self._obs = np.empty((n, 4, width, width))
-        active = observe_all(env, self._obs)
-        return select_actions(self.bundle, self._obs.reshape(n, -1), 0.0, active=active)
+    def actions(self, envs: list[EnvState], keys) -> np.ndarray:
+        obs, active = observe_envs(envs)
+        q, _ = forward(self.bundle.agent_net, obs.reshape(len(obs), -1))
+        acts = np.full(active.shape, int(Action.STAY), dtype=np.int64)
+        acts[active] = q.argmax(axis=1)
+        return acts
 
 
 def _as_policy(policy_or_bundle, mapset: dict):
@@ -196,11 +204,16 @@ def _as_policy(policy_or_bundle, mapset: dict):
     return policy_or_bundle
 
 
-def _rollout_success(record: dict, obs_radius: int, horizon: int, policy,
-                     map_index: int, repeat: int) -> float:
-    env = env_from_record(record, obs_radius=obs_radius, horizon=horizon)
-    policy.start_episode(map_index, repeat)
-    return float(play_episode(env, policy).mean())
+def _check_records(mapset: dict) -> None:
+    """Every record must match the set's size and agent count: a block's
+    planes stack into one array, and its actions into one (E, n) array."""
+    cfg = mapset["config"]
+    for i, record in enumerate(mapset["maps"]):
+        if record["size"] != cfg["size"] or len(record["agents"]) != cfg["n_agents"]:
+            raise ValueError(
+                f"map {i} has size {record['size']} and {len(record['agents'])} "
+                f"agents; the set's config has size {cfg['size']} and "
+                f"{cfg['n_agents']} agents")
 
 
 def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
@@ -210,23 +223,40 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     Success per map is the mean fraction of agents that reached their goals
     within the horizon; the report mean averages over maps. Accepts a
     MixerBundle, a checkpoint path, or any policy object; map sets may be
-    given as a path as well.
+    given as a path as well. Maps play in blocks of consecutive maps with
+    all their repeats, at most EVAL_BLOCK_ROWS agents per block (one map
+    when a single map has more), and every episode of a block steps in
+    lockstep.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     if isinstance(policy_or_bundle, str):
         policy_or_bundle = load_bundle(policy_or_bundle)
     if isinstance(mapset, str):
         mapset = load_mapset(mapset)
+    maps = mapset["maps"]
+    if not maps:
+        raise ValueError("the map set has no maps")
+    _check_records(mapset)
     policy = _as_policy(policy_or_bundle, mapset)
     cfg = mapset["config"]
     t0 = time_fn()
 
     per_map = []
-    for idx, record in enumerate(mapset["maps"]):
-        total = 0.0
-        for rep in range(repeats):
-            total += _rollout_success(record, cfg["obs_radius"], cfg["horizon"],
-                                      policy, idx, rep)
-        per_map.append(total / repeats)
+    block_maps = max(1, EVAL_BLOCK_ROWS // (cfg["n_agents"] * repeats))
+    for first in range(0, len(maps), block_maps):
+        envs, keys = [], []
+        for idx in range(first, min(first + block_maps, len(maps))):
+            env = env_from_record(maps[idx], cfg["obs_radius"], cfg["horizon"])
+            envs += [env] + [env.clone() for _ in range(repeats - 1)]
+            keys += [(idx, rep) for rep in range(repeats)]
+        stack_planes(envs)
+        success = play_episode(envs, policy, keys).mean(axis=1)
+        for k in range(0, len(envs), repeats):
+            total = 0.0
+            for value in success[k:k + repeats]:
+                total += float(value)
+            per_map.append(total / repeats)
     mean = float(np.mean(per_map))
     return EvalReport(per_map=per_map, mean=mean, steps=steps_so_far,
                       wall_s=time_fn() - t0)

@@ -66,7 +66,7 @@ def load_mapset(path: str) -> dict:
 def greedy_rollout_fails(record: dict, obs_radius: int, horizon: int) -> bool:
     """True when the simultaneous greedy shortest-path rollout strands an agent."""
     env = env_from_record(record, obs_radius=obs_radius, horizon=horizon)
-    return not play_episode(env, GreedyBfsPolicy()).all()
+    return not play_episode([env], GreedyBfsPolicy(), [(0, 0)]).all()
 
 
 MIN_CORRIDOR_LEN = 4  # BFS distance along the corridor; shorter maps are trivial

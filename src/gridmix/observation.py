@@ -17,8 +17,9 @@ state.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid_world import EnvState
+from .grid_world import EnvState, shared_planes
 
 
 class InactiveAgent(RuntimeError):
@@ -87,3 +88,40 @@ def observe_all(state: EnvState, out: np.ndarray) -> np.ndarray:
         else:
             out[i] = 0.0
     return active
+
+
+def observe_envs(envs: list[EnvState]) -> tuple[np.ndarray, np.ndarray]:
+    """Observe every active agent of every env with one window gather.
+
+    Returns ``(obs, active)``. ``active`` is the (E, n) mask of active
+    agents; ``obs`` is (K, 4, 2R+1, 2R+1) with one row per True entry of
+    ``active``, in row-major order of the mask, and each row equals what
+    observe() gives for that agent. The envs need one size and view
+    radius; when stack_planes() has put their planes in one stack, no
+    plane is copied.
+    """
+    stack, rows = shared_planes(envs)
+    rad = envs[0].config.obs_radius
+    width = 2 * rad + 1
+    flags, picks, dists = [], [], []
+    for env, row in zip(envs, rows):
+        for ag in env.agents:
+            flags.append(ag.active)
+            if ag.active:
+                picks += (row, *ag.pos, *ag.goal)
+                dists.append(ag.dist_field.item(ag.pos))
+    active = np.array(flags, dtype=bool).reshape(len(envs), -1)
+    b, r, c, gr, gc = np.array(picks, dtype=np.intp).reshape(-1, 5).T
+    k = np.arange(len(dists))
+    windows = sliding_window_view(stack, (width, width), axis=(2, 3))
+    obs = np.empty((len(dists), 4, width, width), dtype=np.float64)
+    obs[:, :3] = windows[b, :, r, c]
+    obs[k, 1, rad, rad] = 1.0 / np.array(dists, dtype=np.float64)
+    np.greater(obs[:, 2], 0.0, out=obs[:, 2])
+    dr, dc = gr - r, gc - c
+    near = (np.abs(dr) <= rad) & (np.abs(dc) <= rad)
+    obs[k[near], 2, dr[near] + rad, dc[near] + rad] = \
+        stack[b[near], 2, gr[near] + rad, gc[near] + rad] > 1.0
+    obs[:, 3] = 0.0
+    obs[k, 3, np.clip(dr, -rad, rad) + rad, np.clip(dc, -rad, rad) + rad] = 1.0
+    return obs, active

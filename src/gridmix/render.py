@@ -37,9 +37,8 @@ def rollout_episode_log(env: EnvState, policy) -> dict:
         "obs_radius": env.config.obs_radius,
         "frames": [frame()],
     }
-    policy.start_episode()
     while not env.episode_over:
-        env.step(policy.actions(env))
+        env.step(policy.actions([env], [(0, 0)])[0])
         log["frames"].append(frame())
     return log
 

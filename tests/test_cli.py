@@ -5,7 +5,7 @@ import os
 import pytest
 
 from gridmix.cli import main
-from gridmix.mapsets import load_mapset
+from gridmix.mapsets import load_mapset, save_mapset
 
 
 @pytest.fixture
@@ -43,6 +43,24 @@ def test_eval_requires_policy_source(tmp_path, config_path):
     main(["gen-maps", "--kind", "random", "--count", "2",
           "--config", config_path, "--seed", "4", "--out", maps_path])
     assert main(["eval", "--maps", maps_path]) == 2
+
+
+@pytest.mark.parametrize("case", ["repeats", "empty"])
+def test_eval_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
+    maps_path = str(tmp_path / "maps.json")
+    main(["gen-maps", "--kind", "random", "--count", "2",
+          "--config", config_path, "--seed", "4", "--out", maps_path])
+    argv = ["eval", "--baseline", "random", "--maps", maps_path]
+    if case == "repeats":
+        argv += ["--repeats", "0"]
+    else:
+        mapset = load_mapset(maps_path)
+        mapset["maps"] = []
+        save_mapset(mapset, maps_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eval: ") and err.count("\n") == 1
 
 
 def test_train_eval_render_cycle(tmp_path, config_path, capsys):

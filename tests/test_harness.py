@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from gridmix import harness
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy
 from gridmix.grid_world import EnvConfig, GenerationFailed, env_from_record, map_hash
 from gridmix.harness import (ConfigInvalid, RunConfig, TopologyMismatch,
@@ -13,8 +14,8 @@ from gridmix.harness import (ConfigInvalid, RunConfig, TopologyMismatch,
                              evaluate, train)
 from gridmix.mapsets import (gen_mapset, greedy_rollout_fails, load_mapset,
                              mapset_hash, sample_giveway_record, save_mapset)
-from gridmix.observation import obs_dim
-from gridmix.qmix_core import MixerBundle, load_bundle
+from gridmix.observation import obs_dim, observe_all
+from gridmix.qmix_core import MixerBundle, load_bundle, select_actions
 from gridmix.render import (MalformedLog, render_episode, render_frame, render_map,
                             rollout_episode_log)
 
@@ -187,7 +188,7 @@ class TestBaselines:
         policy = GreedyBfsPolicy()
         steps = 0
         while not env.episode_over:
-            out = env.step(policy.actions(env))
+            out = env.step(policy.actions([env], [(0, 0)])[0])
             steps += 1
         assert out.done[0]
         assert steps == 7  # exactly the BFS distance
@@ -243,6 +244,140 @@ class TestEvaluate:
         mapset2 = gen_mapset("random", 2, env_config(n_agents=2), seed=13)
         with pytest.raises(TopologyMismatch):
             evaluate(make_goal_seeking_bundle(n_agents=1), mapset2)
+
+
+def serial_per_map(act, mapset, repeats=1):
+    """Reference for evaluate(): one env_from_record per (map, repeat), each
+    episode stepped alone to its end with ``act(env, (map, repeat))``.
+
+    Returns per_map and every episode's length.
+    """
+    cfg = mapset["config"]
+    per_map, lengths = [], []
+    for idx, record in enumerate(mapset["maps"]):
+        total = 0.0
+        for rep in range(repeats):
+            env = env_from_record(record, cfg["obs_radius"], cfg["horizon"])
+            reached = np.zeros(env.n_agents, dtype=bool)
+            while not env.episode_over:
+                reached |= env.step(act(env, (idx, rep))).done
+            lengths.append(env.t)
+            total += float(reached.mean())
+        per_map.append(total / repeats)
+    return per_map, lengths
+
+
+def net_act(bundle):
+    """Greedy bundle actions for one env through observe_all and select_actions."""
+    def act(env, key):
+        width = 2 * env.config.obs_radius + 1
+        obs = np.zeros((env.n_agents, 4, width, width))
+        active = observe_all(env, obs)
+        return select_actions(bundle, obs.reshape(env.n_agents, -1), 0.0, active=active)
+    return act
+
+
+def random_act(seed):
+    """RandomPolicy's contract: one stream per (seed, map, repeat), one draw
+    per active agent in index order."""
+    streams = {}
+
+    def act(env, key):
+        if env.t == 0:
+            streams[key] = np.random.default_rng(np.random.SeedSequence((seed, *key)))
+        return [int(streams[key].integers(5)) if ag.active else 0 for ag in env.agents]
+    return act
+
+
+def random16_set(count=60):
+    config = EnvConfig(size=16, density=0.3, n_agents=6, obs_radius=5, horizon=40,
+                       seed=0)
+    return gen_mapset("random", count, config, seed=4242)
+
+
+class TestLockstepEvaluate:
+    """evaluate() steps a block of episodes together; it must give the
+    per-map values of playing each (map, repeat) alone."""
+
+    def test_seeded_bundle_matches_serial(self):
+        mapset = random16_set()
+        bundle = MixerBundle(n_agents=6, obs_dim=obs_dim(5), state_dim=3 * 16 * 16,
+                             mode="qmix", seed=77)
+        report = evaluate(bundle, mapset, repeats=2)
+        assert report.per_map == serial_per_map(net_act(bundle), mapset, 2)[0]
+        assert report.mean == float(np.mean(report.per_map))
+
+    def test_random_policy_matches_serial(self):
+        mapset = random16_set(20)
+        report = evaluate(RandomPolicy(seed=9), mapset, repeats=3)
+        assert report.per_map == serial_per_map(random_act(9), mapset, 3)[0]
+
+    def test_greedy_bfs_matches_serial(self):
+        mapset = random16_set(20)
+        policy = GreedyBfsPolicy()
+        report = evaluate(policy, mapset, repeats=2)
+        expected, _ = serial_per_map(
+            lambda env, key: policy.actions([env], [key])[0], mapset, 2)
+        assert report.per_map == expected
+
+    def test_goal_seeker_episodes_of_different_lengths(self):
+        # episodes that finish early leave the live list while others step on
+        mapset = gen_mapset("random", 12, env_config(
+            density=0.0, n_agents=2, goal_dist=None), seed=31)
+        bundle = make_goal_seeking_bundle(n_agents=2)
+        report = evaluate(bundle, mapset, repeats=2)
+        expected, lengths = serial_per_map(net_act(bundle), mapset, 2)
+        assert report.per_map == expected
+        assert len(set(lengths)) > 2
+        assert report.mean > 0.5
+
+    @pytest.mark.parametrize("block_rows", [1, 40])
+    def test_many_blocks_match_one(self, monkeypatch, block_rows):
+        # 1 row: one map per block even though a map has 12 agent rows;
+        # 40 rows: blocks of 3, 3, 3 and 1 maps
+        mapset = random16_set(10)
+        bundle = MixerBundle(n_agents=6, obs_dim=obs_dim(5), state_dim=3 * 16 * 16,
+                             mode="qmix", seed=78)
+        whole = evaluate(bundle, mapset, repeats=2)
+        policy = RandomPolicy(seed=4)
+        whole_random = evaluate(policy, mapset, repeats=2)
+        monkeypatch.setattr(harness, "EVAL_BLOCK_ROWS", block_rows)
+        assert evaluate(bundle, mapset, repeats=2).per_map == whole.per_map
+        assert evaluate(policy, mapset, repeats=2).per_map == whole_random.per_map
+
+    def test_random_policy_object_reused(self):
+        mapset = gen_mapset("random", 6, env_config(), seed=8)
+        policy = RandomPolicy(seed=5)
+        first = evaluate(policy, mapset, repeats=3)
+        second = evaluate(policy, mapset, repeats=3)
+        assert first.per_map == second.per_map
+        assert first.mean == second.mean
+
+
+class TestEvaluateInputs:
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_rejected(self, repeats):
+        mapset = gen_mapset("random", 2, env_config(), seed=8)
+        with pytest.raises(ValueError, match="repeats"):
+            evaluate(GreedyBfsPolicy(), mapset, repeats=repeats)
+
+    def test_empty_mapset_rejected(self):
+        mapset = gen_mapset("random", 2, env_config(), seed=8)
+        mapset["maps"] = []
+        with pytest.raises(ValueError, match="no maps"):
+            evaluate(GreedyBfsPolicy(), mapset)
+
+    @pytest.mark.parametrize("field", ["size", "agents"])
+    def test_record_disagreeing_with_header_rejected(self, field):
+        mapset = gen_mapset("random", 3, env_config(), seed=8)
+        other = gen_mapset("random", 1, env_config(size=9, n_agents=1), seed=8)
+        if field == "size":
+            mapset["maps"][2]["size"] = 9
+            mapset["maps"][2]["blocked"] = other["maps"][0]["blocked"]
+        else:
+            del mapset["maps"][2]["agents"][1]
+        with pytest.raises(ValueError, match="map 2 "):
+            evaluate(GreedyBfsPolicy(), mapset)
 
 
 class TestRender:

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmix.grid_world import Action, EnvConfig, env_from_record, generate
-from gridmix.observation import InactiveAgent, obs_dim, observe, observe_all, project_goal
+from gridmix.grid_world import Action, EnvConfig, env_from_record, generate, stack_planes
+from gridmix.observation import (InactiveAgent, obs_dim, observe, observe_all,
+                                 observe_envs, project_goal)
 
 from oracles import nearest_border_cells
 
@@ -164,3 +165,60 @@ class TestObserve:
         assert (buf[1] == 0.0).all()
         for i in (0, 2):
             assert np.array_equal(buf[i], observe(env, i))
+
+
+def random_env(rng, size, n_agents, obs_radius):
+    """A random open-ish map whose agents may share goal cells."""
+    while True:
+        cells = rng.permutation(size * size)
+        n_blocked = int(rng.integers(0, size * size // 4))
+        free = cells[n_blocked:]
+        starts = rng.choice(free, size=n_agents, replace=False)
+        goals = rng.choice(free, size=n_agents)
+        if n_agents > 1 and rng.random() < 0.5:
+            goals[1] = goals[0]
+        if (starts == goals).any():
+            continue
+        record = {"size": size,
+                  "blocked": [divmod(int(k), size) for k in cells[:n_blocked]],
+                  "agents": [{"start": divmod(int(a), size), "goal": divmod(int(g), size)}
+                             for a, g in zip(starts, goals)],
+                  "seed": 0}
+        try:
+            return env_from_record(record, obs_radius, horizon=int(rng.integers(4, 14)))
+        except ValueError:  # a goal unreachable from its start
+            continue
+
+
+class TestObserveEnvs:
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_rows_equal_observe(self, stacked):
+        # inactive agents, finished episodes, goals outside the window and
+        # shared goal cells; stacked planes must stay current while stepping
+        rng = np.random.default_rng(3 if stacked else 4)
+        shared = outside = inactive = 0
+        for _ in range(30):
+            size, n = int(rng.integers(4, 13)), int(rng.integers(1, 5))
+            radius = int(rng.integers(1, min(size, 4) + 1))
+            envs = [random_env(rng, size, n, radius) for _ in range(int(rng.integers(1, 6)))]
+            if stacked:
+                stack_planes(envs)
+            for env in envs:
+                for _ in range(int(rng.integers(0, env.config.horizon + 1))):
+                    if env.episode_over:
+                        break
+                    env.step(rng.integers(0, 5, size=n))
+            obs, active = observe_envs(envs)
+            assert active.tolist() == [[ag.active for ag in env.agents] for env in envs]
+            expected = [observe(env, i) for env in envs
+                        for i, ag in enumerate(env.agents) if ag.active]
+            assert obs.shape == (len(expected), 4, 2 * radius + 1, 2 * radius + 1)
+            assert all(np.array_equal(row, ref) for row, ref in zip(obs, expected))
+            inactive += int((~active).sum())
+            for env in envs:
+                goals = [ag.goal for ag in env.agents if ag.active]
+                shared += len(goals) > len(set(goals))
+                outside += sum(max(abs(ag.goal[0] - ag.pos[0]),
+                                   abs(ag.goal[1] - ag.pos[1])) > radius
+                               for ag in env.agents if ag.active)
+        assert shared and outside and inactive

@@ -1,16 +1,18 @@
-"""Digests of fixed training runs, to show that a change keeps outputs byte-identical.
+"""Digests of fixed runs, to show that a change keeps outputs byte-identical.
 
-Each run below trains with a counter clock and prints one line: the run's
-name, the sha256 of ``metrics.csv`` without its ``wall_s`` column, and the
-sha256 of ``checkpoint.json``. Run it against two source trees and compare:
+Each training run below trains with a counter clock and prints one line:
+the run's name, the sha256 of ``metrics.csv`` without its ``wall_s``
+column, and the sha256 of ``checkpoint.json``. Each evaluation run prints
+the sha256 of ``json.dumps([per_map, mean])`` of one evaluate() call. Run
+it against two source trees and compare:
 
     PYTHONPATH=src python3 tools/determinism_digest.py > after.txt
     PYTHONPATH=/path/to/parent/src python3 tools/determinism_digest.py > before.txt
     diff before.txt after.txt
 
 Use the same BLAS thread setting for both trees. ``--only NAME``
-(repeatable) limits the runs; the four take a few minutes in all on one
-core.
+(repeatable) limits the runs; the four trainings take a few minutes in all
+on one core, the three evaluations a few seconds.
 """
 from __future__ import annotations
 
@@ -18,10 +20,12 @@ import argparse
 import csv
 import hashlib
 import io
+import json
 import os
 import tempfile
 
-from gridmix import EnvConfig, RunConfig, gen_mapset, save_mapset, train
+from gridmix import (EnvConfig, GreedyBfsPolicy, MixerBundle, RandomPolicy, RunConfig,
+                     evaluate, gen_mapset, load_mapset, obs_dim, save_mapset, train)
 
 GIVEWAY_EVAL = "giveway70.json"
 
@@ -52,6 +56,20 @@ def configs(workdir: str) -> dict[str, RunConfig]:
     }
 
 
+def evaluations(workdir: str) -> dict:
+    """Name -> (policy or bundle, map set, repeats) of each evaluate() run."""
+    random16 = gen_mapset("random", 60, EnvConfig(
+        size=16, density=0.3, n_agents=6, obs_radius=5, horizon=40, seed=0), seed=4242)
+    bundle = MixerBundle(n_agents=6, obs_dim=obs_dim(5), state_dim=3 * 16 * 16,
+                         mode="qmix", seed=4242)
+    return {
+        "eval-qmix-random16": (bundle, random16, 2),
+        "eval-random-random16": (RandomPolicy(seed=9), random16, 3),
+        "eval-greedy-giveway70": (GreedyBfsPolicy(),
+                                  load_mapset(os.path.join(workdir, GIVEWAY_EVAL)), 1),
+    }
+
+
 def metrics_digest(path: str) -> str:
     """sha256 of the metrics file with the wall_s column dropped."""
     with open(path, newline="") as fh:
@@ -76,14 +94,16 @@ def main(argv: list[str] | None = None) -> None:
                         help="run only this config (repeatable)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        runs = configs(workdir)
-        unknown = set(args.only) - set(runs)
-        if unknown:
-            parser.error(f"unknown run {sorted(unknown)}; choose from {sorted(runs)}")
         base = EnvConfig(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
                          goal_dist=None, seed=0)
         save_mapset(gen_mapset("giveway", 70, base, seed=12345),
                     os.path.join(workdir, GIVEWAY_EVAL))
+        runs = configs(workdir)
+        evals = evaluations(workdir)
+        unknown = set(args.only) - set(runs) - set(evals)
+        if unknown:
+            parser.error(f"unknown run {sorted(unknown)}; "
+                         f"choose from {sorted(runs) + sorted(evals)}")
         for name, config in runs.items():
             if args.only and name not in args.only:
                 continue
@@ -92,6 +112,12 @@ def main(argv: list[str] | None = None) -> None:
                            time_fn=lambda: float(next(ticks)))
             print(f"{name}  metrics {metrics_digest(result.metrics_path)}  "
                   f"checkpoint {file_digest(result.checkpoint_path)}", flush=True)
+        for name, (policy, mapset, repeats) in evals.items():
+            if args.only and name not in args.only:
+                continue
+            report = evaluate(policy, mapset, repeats=repeats)
+            digest = hashlib.sha256(json.dumps([report.per_map, report.mean]).encode())
+            print(f"{name}  report {digest.hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
