@@ -32,12 +32,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.baseline:
-        policy = baseline_policy(args.baseline, seed=args.seed)
-    else:
-        policy = load_bundle(args.ckpt)
-    mapset = load_mapset(args.maps)
     try:
+        if args.baseline:
+            policy = baseline_policy(args.baseline, seed=args.seed)
+        else:
+            policy = load_bundle(args.ckpt)
+        mapset = load_mapset(args.maps)
         report = evaluate(policy, mapset, repeats=args.repeats)
     except ValueError as exc:
         print(f"eval: {exc}", file=sys.stderr)

@@ -125,13 +125,6 @@ class NetParams:
             offset += n_out
             self.layers.append((w, b))
 
-    @classmethod
-    def zeros(cls, topology: Topology) -> "NetParams":
-        return cls(topology, np.zeros(topology.n_params))
-
-    def copy(self) -> "NetParams":
-        return NetParams(self.topology, self.flat.copy())
-
 
 def init_params(topology: Topology, rng: np.random.Generator,
                 flat_out: np.ndarray | None = None) -> NetParams:
@@ -322,26 +315,3 @@ def finite_diff_check(flat_params: np.ndarray, loss_fn, eps: float = 1e-5,
         raise AssertionError(
             f"gradient mismatch {max_err:.3e} > {tolerance:.1e} at coord {worst}")
     return max_err
-
-
-# --- checkpointing ----------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def params_to_payload(params: NetParams) -> dict:
-    """JSON-safe dict; float repr round-trips bit-exactly."""
-    return {
-        "format_version": CHECKPOINT_VERSION,
-        "sizes": list(params.topology.sizes),
-        "activations": list(params.topology.activations),
-        "params": params.flat.tolist(),
-    }
-
-
-def params_from_payload(payload: dict) -> NetParams:
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
-    topology = Topology(tuple(payload["sizes"]), tuple(payload["activations"]))
-    return NetParams(topology, np.array(payload["params"], dtype=np.float64))
-

@@ -145,6 +145,9 @@ class RunConfig:
     def from_json(cls, path: str) -> "RunConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"config file {path} must hold a JSON object, "
+                                f"not {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

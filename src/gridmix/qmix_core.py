@@ -38,6 +38,7 @@ squared TD error over unmasked entries (samples, or iql's active agents).
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ DEFAULT_GAMMA = 0.99
 DEFAULT_LR = 5e-4
 DEFAULT_GRAD_CLIP = 10.0
 
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 _abs, _abs_vjp = dense_net.ACTIVATIONS["abs"]
 _relu, _relu_vjp = dense_net.ACTIVATIONS["relu"]
@@ -359,7 +360,8 @@ def epsilon_greedy(greedy: np.ndarray, eps: float, rng: np.random.Generator | No
 # --- checkpointing ----------------------------------------------------------
 
 def bundle_to_payload(bundle: MixerBundle) -> dict:
-    payload = {
+    """Header fields, then ``theta`` as base64 of little-endian float64."""
+    return {
         "format_version": BUNDLE_VERSION,
         "kind": "mixer_bundle",
         "mode": bundle.mode,
@@ -371,14 +373,12 @@ def bundle_to_payload(bundle: MixerBundle) -> dict:
         "obs_dim": bundle.obs_dim,
         "state_dim": bundle.state_dim,
         "train_steps": bundle.train_steps,
-        "nets": {"agent": dense_net.params_to_payload(bundle.agent_net)},
+        "theta": base64.b64encode(bundle.theta.astype("<f8").tobytes()).decode("ascii"),
     }
-    if bundle.mode == "qmix":
-        payload["mixer"] = bundle.theta[bundle.agent_net.flat.size:].tolist()
-    return payload
 
 
 def bundle_from_payload(payload: dict) -> MixerBundle:
+    """Bundle with theta restored bit-exactly and targets synced to it."""
     version = payload.get("format_version")
     if version != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {version}; this build reads "
@@ -389,16 +389,11 @@ def bundle_from_payload(payload: dict) -> MixerBundle:
         embed_dim=payload["embed_dim"], gamma=payload["gamma"],
         lr=payload["lr"], grad_clip=payload["grad_clip"])
     bundle.train_steps = payload["train_steps"]
-    agent = bundle.agent_net.flat
-    loaded = dense_net.params_from_payload(payload["nets"]["agent"]).flat
-    if loaded.shape != agent.shape:
-        raise ShapeMismatch("checkpoint agent net has wrong size")
-    agent[:] = loaded
-    if bundle.mode == "qmix":
-        mixer = np.array(payload["mixer"], dtype=np.float64)
-        if mixer.shape != bundle.theta[agent.size:].shape:
-            raise ShapeMismatch("checkpoint mixer block has wrong size")
-        bundle.theta[agent.size:] = mixer
+    raw = base64.b64decode(payload["theta"], validate=True)
+    if len(raw) != 8 * bundle.theta.size:
+        raise ShapeMismatch(f"checkpoint theta has {len(raw)} bytes, "
+                            f"expected {8 * bundle.theta.size}")
+    bundle.theta[:] = np.frombuffer(raw, dtype="<f8")
     sync_targets(bundle)
     return bundle
 

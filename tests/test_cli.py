@@ -6,6 +6,8 @@ import pytest
 
 from gridmix.cli import main
 from gridmix.mapsets import load_mapset, save_mapset
+from gridmix.observation import obs_dim
+from gridmix.qmix_core import MixerBundle, bundle_to_payload
 
 
 @pytest.fixture
@@ -45,7 +47,7 @@ def test_eval_requires_policy_source(tmp_path, config_path):
     assert main(["eval", "--maps", maps_path]) == 2
 
 
-@pytest.mark.parametrize("case", ["repeats", "empty"])
+@pytest.mark.parametrize("case", ["repeats", "empty", "ckpt_version", "maps_version"])
 def test_eval_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
     maps_path = str(tmp_path / "maps.json")
     main(["gen-maps", "--kind", "random", "--count", "2",
@@ -53,10 +55,24 @@ def test_eval_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, cas
     argv = ["eval", "--baseline", "random", "--maps", maps_path]
     if case == "repeats":
         argv += ["--repeats", "0"]
-    else:
+    elif case == "empty":
         mapset = load_mapset(maps_path)
         mapset["maps"] = []
         save_mapset(mapset, maps_path)
+    elif case == "ckpt_version":
+        ckpt_path = str(tmp_path / "checkpoint.json")
+        payload = bundle_to_payload(MixerBundle(n_agents=1, obs_dim=obs_dim(5),
+                                                state_dim=3 * 8 * 8, mode="iql"))
+        payload["format_version"] = 1
+        with open(ckpt_path, "w") as fh:
+            json.dump(payload, fh)
+        argv = ["eval", "--ckpt", ckpt_path, "--maps", maps_path]
+    else:
+        with open(maps_path) as fh:
+            mapset = json.load(fh)
+        mapset["format_version"] = 99
+        with open(maps_path, "w") as fh:
+            json.dump(mapset, fh)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,13 +1,10 @@
-"""Dense network forward/backward exactness, the optimizer, and checkpoints."""
-import json
-
+"""Dense network forward/backward exactness, the optimizer, and parameter views."""
 import numpy as np
 import pytest
 
 from gridmix.dense_net import (AdamState, NetParams, NonFiniteGradient, ShapeMismatch,
                                Topology, adam_step, backward, clip_global_norm,
-                               finite_diff_check, forward, init_params,
-                               params_from_payload, params_to_payload, tape_has_kink)
+                               finite_diff_check, forward, init_params, tape_has_kink)
 
 
 def random_net(topology, seed):
@@ -33,7 +30,7 @@ class TestTopology:
 class TestForward:
     def test_identity_net_passes_input_through(self):
         topo = Topology((3, 3), ("identity",))
-        params = NetParams.zeros(topo)
+        params = NetParams(topo, np.zeros(topo.n_params))
         w, b = params.layers[0]
         w[:] = np.eye(3)
         x = np.array([[1.5, -2.0, 0.25]])
@@ -42,7 +39,7 @@ class TestForward:
 
     def test_abs_activation(self):
         topo = Topology((1, 1), ("abs",))
-        params = NetParams.zeros(topo)
+        params = NetParams(topo, np.zeros(topo.n_params))
         params.layers[0][0][:] = 1.0
         params.layers[0][1][:] = -3.0  # pre-activation -3 at x=0
         out, _ = forward(params, np.zeros((1, 1)))
@@ -50,7 +47,7 @@ class TestForward:
 
     def test_relu_clamps_negative(self):
         topo = Topology((1, 1), ("relu",))
-        params = NetParams.zeros(topo)
+        params = NetParams(topo, np.zeros(topo.n_params))
         params.layers[0][1][:] = -2.5
         out, _ = forward(params, np.zeros((1, 1)))
         assert out[0, 0] == 0.0
@@ -92,7 +89,7 @@ class TestBackward:
     def test_single_linear_neuron(self):
         # y = w x: dy/dw == x and dy/dx == w
         topo = Topology((1, 1), ("identity",))
-        params = NetParams.zeros(topo)
+        params = NetParams(topo, np.zeros(topo.n_params))
         params.layers[0][0][:] = 2.0
         _, tape = forward(params, np.array([[3.0]]))
         grad, grad_in = backward(tape, np.array([[1.0]]))
@@ -245,22 +242,7 @@ class TestInit:
         assert np.isfinite(out).all()
 
 
-class TestCheckpoint:
-    def test_bit_exact_round_trip(self, tmp_path):
-        topo = Topology((7, 11, 3), ("relu", "elu"))
-        params = random_net(topo, 9)
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps(params_to_payload(params)))
-        loaded = params_from_payload(json.loads(path.read_text()))
-        assert loaded.topology == params.topology
-        assert np.array_equal(loaded.flat, params.flat)  # bit-exact
-
-    def test_version_checked(self):
-        payload = params_to_payload(random_net(Topology((2, 2), ("relu",)), 0))
-        payload["format_version"] = 99
-        with pytest.raises(ValueError):
-            params_from_payload(payload)
-
+class TestNetParams:
     def test_param_vector_length_checked(self):
         topo = Topology((3, 2), ("relu",))
         with pytest.raises(ShapeMismatch):

@@ -71,6 +71,13 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid):
             RunConfig.from_json(path)
 
+    def test_non_object_config_rejected(self, tmp_path):
+        path = str(tmp_path / "config.json")
+        with open(path, "w") as fh:
+            json.dump([1, 2], fh)
+        with pytest.raises(ConfigInvalid, match="must hold a JSON object"):
+            RunConfig.from_json(path)
+
     @pytest.mark.parametrize("kwargs", [
         dict(mode="sarsa"),
         dict(total_steps=-1),

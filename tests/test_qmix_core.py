@@ -1,4 +1,6 @@
-"""Mixing network, TD targets, training step, and action selection."""
+"""Mixing network, TD targets, training step, action selection, and checkpoints."""
+import base64
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from gridmix import dense_net
 from gridmix.dense_net import (NetParams, NonFiniteGradient, ShapeMismatch, Topology,
                                backward, finite_diff_check, forward, init_params)
 from gridmix.grid_world import Action
-from gridmix.qmix_core import (MixerBundle, bundle_from_payload, bundle_to_payload,
-                               mix_forward_batch, select_actions, sync_targets,
-                               td_targets, train_step)
+from gridmix.qmix_core import (MODES, MixerBundle, bundle_from_payload, bundle_to_payload,
+                               load_bundle, mix_forward_batch, save_bundle, select_actions,
+                               sync_targets, td_targets, train_step)
 from gridmix.replay_buffer import Batch
 
 
@@ -353,6 +355,12 @@ class TestArgmaxConsistency:
             assert np.array_equal(joint, greedy)
 
 
+def nested_net_payload(net):
+    """One net as checkpoint formats 1 and 2 nested it."""
+    return {"format_version": 1, "sizes": list(net.topology.sizes),
+            "activations": list(net.topology.activations), "params": net.flat.tolist()}
+
+
 class TestBundle:
     def test_mode_and_gamma_validated(self):
         with pytest.raises(ValueError):
@@ -394,21 +402,58 @@ class TestBundle:
         assert clone.grad_clip == 5.0
         np.testing.assert_array_equal(clone.theta, bundle.theta)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_save_load_on_disk_bit_exact(self, tmp_path, mode):
+        bundle = make_bundle(mode=mode, seed=29)
+        train_step(bundle, random_batch(bundle, b=8, seed=16))
+        path = str(tmp_path / "checkpoint.json")
+        save_bundle(bundle, path)
+        clone = load_bundle(path)
+        assert clone.theta.tobytes() == bundle.theta.tobytes()
+        assert clone.theta_target.tobytes() == bundle.theta.tobytes()
+        assert clone.train_steps == 1
+
     def test_version_1_checkpoint_rejected(self):
         # version 1 stored each hypernet as its own net next to the agent net
         bundle = make_bundle()
         payload = bundle_to_payload(bundle)
-        del payload["mixer"], payload["lr"], payload["grad_clip"]
+        del payload["theta"], payload["lr"], payload["grad_clip"]
         payload["format_version"] = 1
-        payload["nets"].update({name: dense_net.params_to_payload(net)
-                                for name, net in reference_hypernets(bundle).items()})
+        nets = {"agent": bundle.agent_net, **reference_hypernets(bundle)}
+        payload["nets"] = {name: nested_net_payload(net) for name, net in nets.items()}
         with pytest.raises(ValueError, match="version 1"):
             bundle_from_payload(payload)
 
+    def test_version_2_checkpoint_rejected(self):
+        # version 2 stored the agent net as a nested per-net payload and the
+        # mixer block as a float list
+        bundle = make_bundle()
+        payload = bundle_to_payload(bundle)
+        del payload["theta"]
+        payload["format_version"] = 2
+        payload["nets"] = {"agent": nested_net_payload(bundle.agent_net)}
+        payload["mixer"] = bundle.theta[bundle.agent_net.flat.size:].tolist()
+        with pytest.raises(ValueError, match="version 2"):
+            bundle_from_payload(payload)
+
     def test_wrong_mixer_length_rejected(self):
+        # a theta laid out for embed width 8 under a header that says 4
         payload = bundle_to_payload(make_bundle())
-        payload["mixer"] = payload["mixer"][:-1]
+        payload["embed_dim"] = 4
         with pytest.raises(ShapeMismatch):
+            bundle_from_payload(payload)
+
+    def test_theta_one_float_short_rejected(self):
+        bundle = make_bundle()
+        payload = bundle_to_payload(bundle)
+        payload["theta"] = base64.b64encode(bundle.theta[:-1].astype("<f8").tobytes()).decode()
+        with pytest.raises(ShapeMismatch):
+            bundle_from_payload(payload)
+
+    def test_theta_not_base64_rejected(self):
+        payload = bundle_to_payload(make_bundle())
+        payload["theta"] = "*" + payload["theta"][1:]
+        with pytest.raises(ValueError):
             bundle_from_payload(payload)
 
 

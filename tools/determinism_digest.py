@@ -2,7 +2,10 @@
 
 Each training run below trains with a counter clock and prints one line:
 the run's name, the sha256 of ``metrics.csv`` without its ``wall_s``
-column, and the sha256 of ``checkpoint.json``. Each evaluation run prints
+column, and the sha256 of the checkpoint's content: what ``load_bundle``
+returns, as its header fields in canonical JSON followed by the bytes of
+``theta``. That digest does not depend on how the file encodes them, so
+it also holds across a change of checkpoint format. Each evaluation run prints
 the sha256 of ``json.dumps([per_map, mean])`` of one evaluate() call. Run
 it against two source trees and compare:
 
@@ -25,7 +28,8 @@ import os
 import tempfile
 
 from gridmix import (EnvConfig, GreedyBfsPolicy, MixerBundle, RandomPolicy, RunConfig,
-                     evaluate, gen_mapset, load_mapset, obs_dim, save_mapset, train)
+                     evaluate, gen_mapset, load_bundle, load_mapset, obs_dim, save_mapset,
+                     train)
 
 GIVEWAY_EVAL = "giveway70.json"
 
@@ -83,9 +87,16 @@ def metrics_digest(path: str) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def checkpoint_digest(path: str) -> str:
+    """sha256 of the loaded bundle's header fields and theta, not of the file."""
+    bundle = load_bundle(path)
+    header = {"mode": bundle.mode, "gamma": bundle.gamma, "lr": bundle.adam.lr,
+              "grad_clip": bundle.grad_clip, "embed_dim": bundle.embed_dim,
+              "n_agents": bundle.n_agents, "obs_dim": bundle.obs_dim,
+              "state_dim": bundle.state_dim, "train_steps": bundle.train_steps}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+    digest.update(bundle.theta.tobytes())
+    return digest.hexdigest()
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -111,7 +122,7 @@ def main(argv: list[str] | None = None) -> None:
             result = train(config, os.path.join(workdir, name),
                            time_fn=lambda: float(next(ticks)))
             print(f"{name}  metrics {metrics_digest(result.metrics_path)}  "
-                  f"checkpoint {file_digest(result.checkpoint_path)}", flush=True)
+                  f"checkpoint {checkpoint_digest(result.checkpoint_path)}", flush=True)
         for name, (policy, mapset, repeats) in evals.items():
             if args.only and name not in args.only:
                 continue
