@@ -67,19 +67,26 @@ class GreedyBfsPolicy:
         return acts
 
 
-def play_episode(envs: list[EnvState], policy, keys) -> np.ndarray:
+def play_episode(envs: list[EnvState], policy, keys, on_step=None) -> np.ndarray:
     """Step every env in lockstep until each episode ends; (E, n) goal-reached flags.
 
     Each timestep asks ``policy`` once for the actions of every env still
     playing (a finished env leaves the list) and then steps those envs in
-    list order. ``keys[e]`` is env e's ``(map_index, repeat)``.
+    list order. ``keys[e]`` is env e's ``(map_index, repeat)``. When given,
+    ``on_step(env, key)`` sees every env at its start and after each of its
+    steps.
     """
     reached = np.zeros((len(envs), envs[0].n_agents), dtype=bool)
+    if on_step is not None:
+        for env, key in zip(envs, keys):
+            on_step(env, key)
     live = [e for e, env in enumerate(envs) if not env.episode_over]
     while live:
         acts = policy.actions([envs[e] for e in live], [keys[e] for e in live])
         for e, row in zip(live, acts):
             reached[e] |= envs[e].step(row).done
+            if on_step is not None:
+                on_step(envs[e], keys[e])
         live = [e for e in live if not envs[e].episode_over]
     return reached
 

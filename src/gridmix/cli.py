@@ -2,6 +2,8 @@
 
 Subcommands: train, eval, gen-maps, render, bench. Config files are JSON
 mirroring RunConfig field names; map files use the grid_world map schema.
+Any ValueError or OSError (such as a missing or malformed input file) ends
+a subcommand with one ``<command>: <message>`` line on stderr, exit 2.
 """
 from __future__ import annotations
 
@@ -11,13 +13,11 @@ import os
 import sys
 
 from .baselines import baseline_policy
-from .grid_world import env_from_record
-from .harness import (GreedyNetPolicy, RunConfig, bench_env_stepping,
-                      bench_train_loop, evaluate, train)
+from .harness import RunConfig, bench_env_stepping, bench_train_loop, evaluate, train
 from .mapsets import gen_mapset, load_mapset, save_mapset
 from .observation import obs_dim
 from .qmix_core import load_bundle
-from .render import render_episode, render_map, rollout_episode_log
+from .render import EpisodeLogs, render_episode, render_map
 from .replay_buffer import Buffer
 
 
@@ -32,16 +32,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        if args.baseline:
-            policy = baseline_policy(args.baseline, seed=args.seed)
-        else:
-            policy = load_bundle(args.ckpt)
-        mapset = load_mapset(args.maps)
-        report = evaluate(policy, mapset, repeats=args.repeats)
-    except ValueError as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return 2
+    if args.baseline:
+        policy = baseline_policy(args.baseline, seed=args.seed)
+    else:
+        policy = load_bundle(args.ckpt)
+    recorder = EpisodeLogs() if args.save_logs else None
+    report = evaluate(policy, load_mapset(args.maps), repeats=args.repeats,
+                      on_step=recorder)
     print(f"maps: {len(report.per_map)}  repeats: {args.repeats}")
     print(f"mean success: {report.mean:.4f}")
     if args.out:
@@ -49,13 +46,9 @@ def _cmd_eval(args) -> int:
             json.dump({"mean": report.mean, "per_map": report.per_map,
                        "repeats": args.repeats}, fh)
         print(f"report: {args.out}")
-    if args.save_logs:
+    if recorder is not None:
         os.makedirs(args.save_logs, exist_ok=True)
-        cfg = mapset["config"]
-        runner = policy if args.baseline else GreedyNetPolicy(policy)
-        for i, record in enumerate(mapset["maps"]):
-            env = env_from_record(record, cfg["obs_radius"], cfg["horizon"])
-            log = rollout_episode_log(env, runner)
+        for i, log in recorder.items():
             with open(os.path.join(args.save_logs, f"episode_{i:04d}.json"), "w") as fh:
                 json.dump(log, fh)
         print(f"episode logs: {args.save_logs}")
@@ -165,7 +158,11 @@ def main(argv=None) -> int:
     if args.command == "eval" and not args.baseline and not args.ckpt:
         print("eval requires --ckpt or --baseline", file=sys.stderr)
         return 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

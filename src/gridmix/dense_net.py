@@ -70,10 +70,6 @@ ACTIVATIONS = {
     "elu": (_elu, _elu_vjp),
 }
 
-# activations with a non-differentiable point at 0 (relevant to finite differences)
-KINKED_ACTIVATIONS = ("relu", "abs")
-
-
 @dataclass(frozen=True)
 class Topology:
     """Layer sizes [n0, n1, ..., nL] and one activation name per layer."""
@@ -197,18 +193,6 @@ def backward(tape: Tape, grad_output: np.ndarray,
     return grad_flat, g
 
 
-def tape_has_kink(tape: Tape, threshold: float = 1e-7) -> bool:
-    """True when some ReLU/Abs pre-activation sits within ``threshold`` of 0.
-
-    Finite-difference checks are unreliable at such points; callers should
-    resample their instance.
-    """
-    for act, z in zip(tape.params.topology.activations, tape.preacts):
-        if act in KINKED_ACTIVATIONS and np.any(np.abs(z) < threshold):
-            return True
-    return False
-
-
 @dataclass
 class AdamState:
     """Adaptive-moment optimizer state over one flat parameter vector."""
@@ -273,45 +257,3 @@ def clip_global_norm(grads: np.ndarray, max_norm: float) -> float:
         grads *= max_norm / norm
     return norm
 
-
-def finite_diff_check(flat_params: np.ndarray, loss_fn, eps: float = 1e-5,
-                      n_coords: int | None = None,
-                      rng: np.random.Generator | None = None,
-                      tolerance: float | None = None) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_fn(flat) -> (loss, grad)`` must be differentiable at the given
-    point (resample the instance when a kink is hit, see tape_has_kink).
-    Checks every coordinate, or a random subset of ``n_coords``. The
-    relative error denominator is floored at 1e-6 to absorb cancellation
-    noise in near-zero gradient entries. When ``tolerance`` is given, an
-    AssertionError reports the worst coordinate if it is exceeded.
-    """
-    flat_params = np.asarray(flat_params, dtype=np.float64)
-    _, analytic = loss_fn(flat_params)
-    n = flat_params.shape[0]
-    if n_coords is None or n_coords >= n:
-        coords = np.arange(n)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        coords = rng.choice(n, size=n_coords, replace=False)
-    work = flat_params.copy()
-    max_err = 0.0
-    worst = -1
-    for i in coords:
-        saved = work[i]
-        work[i] = saved + eps
-        loss_plus = loss_fn(work)[0]
-        work[i] = saved - eps
-        loss_minus = loss_fn(work)[0]
-        work[i] = saved
-        fd = (loss_plus - loss_minus) / (2.0 * eps)
-        err = abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6)
-        if err > max_err:
-            max_err = err
-            worst = int(i)
-    if tolerance is not None and max_err > tolerance:
-        raise AssertionError(
-            f"gradient mismatch {max_err:.3e} > {tolerance:.1e} at coord {worst}")
-    return max_err

@@ -432,16 +432,24 @@ def map_hash(record: dict) -> str:
 
 
 def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
-    """Rebuild a playable EnvState from a map record."""
+    """Rebuild a playable EnvState from a map record; a blocked cell, start
+    or goal outside the grid raises ValueError naming the field."""
     size = int(record["size"])
+
+    def cell(value, field: str) -> tuple[int, int]:
+        r, c = int(value[0]), int(value[1])
+        if not (0 <= r < size and 0 <= c < size):
+            raise ValueError(f"{field} [{r}, {c}] lies outside [0, {size})")
+        return r, c
+
     blocked = np.zeros((size, size), dtype=bool)
-    for r, c in record["blocked"]:
-        blocked[int(r), int(c)] = True
+    for value in record["blocked"]:
+        blocked[cell(value, "blocked cell")] = True
     grid = GridMap(size, blocked)
     agents = []
-    for a in record["agents"]:
-        start = (int(a["start"][0]), int(a["start"][1]))
-        goal = (int(a["goal"][0]), int(a["goal"][1]))
+    for i, a in enumerate(record["agents"]):
+        start = cell(a["start"], f"agent {i} start")
+        goal = cell(a["goal"], f"agent {i} goal")
         agents.append(AgentState(start, goal, True, bfs_distance_field(grid, goal)))
     n_blocked = int(blocked.sum())
     config = EnvConfig(

@@ -37,7 +37,7 @@ from .dense_net import forward
 from .grid_world import (Action, EnvConfig, EnvState, env_from_record, generate,
                          map_hash, map_record, stack_planes)
 from .mapsets import gen_mapset, load_mapset, mapset_hash, sample_giveway_record
-from .observation import obs_dim, observe_all, observe_envs
+from .observation import obs_dim, observe
 from .qmix_core import MixerBundle, load_bundle, save_bundle
 from .replay_buffer import Buffer, JointTransition
 
@@ -184,7 +184,7 @@ class GreedyNetPolicy:
         self.bundle = bundle
 
     def actions(self, envs: list[EnvState], keys) -> np.ndarray:
-        obs, active = observe_envs(envs)
+        obs, active = observe(envs)
         q, _ = forward(self.bundle.agent_net, obs.reshape(len(obs), -1))
         acts = np.full(active.shape, int(Action.STAY), dtype=np.int64)
         acts[active] = q.argmax(axis=1)
@@ -220,7 +220,7 @@ def _check_records(mapset: dict) -> None:
 
 
 def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
-             time_fn=time.perf_counter) -> EvalReport:
+             time_fn=time.perf_counter, on_step=None) -> EvalReport:
     """Greedy rollout on every map of the set, ``repeats`` times each.
 
     Success per map is the mean fraction of agents that reached their goals
@@ -229,7 +229,7 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     given as a path as well. Maps play in blocks of consecutive maps with
     all their repeats, at most EVAL_BLOCK_ROWS agents per block (one map
     when a single map has more), and every episode of a block steps in
-    lockstep.
+    lockstep. ``on_step`` is passed on to play_episode.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -254,7 +254,7 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
             envs += [env] + [env.clone() for _ in range(repeats - 1)]
             keys += [(idx, rep) for rep in range(repeats)]
         stack_planes(envs)
-        success = play_episode(envs, policy, keys).mean(axis=1)
+        success = play_episode(envs, policy, keys, on_step).mean(axis=1)
         for k in range(0, len(envs), repeats):
             total = 0.0
             for value in success[k:k + repeats]:
@@ -279,26 +279,14 @@ def _stream_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
 
 
 class _EnvSlot:
-    """One training environment plus its private rng streams and obs cache.
-
-    ``obs`` and ``state`` are views of buffers that every refresh
-    overwrites; the training loop copies what it keeps before stepping or
-    resetting the slot.
-    """
+    """One training environment plus its private rng streams."""
 
     def __init__(self, config: RunConfig, index: int, eval_hashes: set[str]):
         self.config = config
         self.map_rng = _stream_rng(config.seed, _TAG_MAPS, index)
         self.explore_rng = _stream_rng(config.seed, _TAG_EXPLORE, index)
         self.eval_hashes = eval_hashes
-        width = 2 * config.obs_radius + 1
-        self.n = config.n_agents
-        self._obs_buf = np.zeros((self.n, 4, width, width))
-        self._state_buf = np.zeros((3, config.size, config.size))
         self.env: EnvState | None = None
-        self.obs = self._obs_buf.reshape(self.n, -1)     # (n, obs_dim) float64 view
-        self.state = self._state_buf.reshape(-1)         # (state_dim,) float64 view
-        self.active: np.ndarray | None = None     # (n,) bool
         self.seen_hashes: set[str] = set()
 
     def reset(self) -> None:
@@ -322,11 +310,6 @@ class _EnvSlot:
                 "evaluation set: the evaluation set covers the training maps")
         self.seen_hashes.add(h)
         self.env = env
-        self._refresh()
-
-    def _refresh(self) -> None:
-        self.active = observe_all(self.env, self._obs_buf)
-        self.env.global_state(out=self._state_buf)
 
 
 def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainResult:
@@ -406,40 +389,62 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
         return report
 
     n, n_envs = config.n_agents, config.n_envs
-    all_obs = np.zeros((n_envs * n, obs_d))
-    # one vector step's transitions, pushed as one block; obs is all_obs
+    # one window gather per vector step covers the stepped envs, then the
+    # envs that replaced finished ones; its rows land in zero-filled
+    # (envs, n, obs_dim) layouts, the new envs' rows after row n_envs
+    windows = np.empty((2 * n_envs * n, 4) + (2 * config.obs_radius + 1,) * 2)
+    seen_obs = np.zeros((2 * n_envs, n, obs_d))
+    seen_state = np.zeros((2 * n_envs, state_d))
+    # one vector step's transitions, pushed as one block
     block = JointTransition(
-        obs=all_obs.reshape(n_envs, n, obs_d), actions=np.zeros((n_envs, n), np.int64),
-        rewards=np.zeros((n_envs, n)), next_obs=np.zeros((n_envs, n, obs_d)),
-        state=np.zeros((n_envs, state_d)), next_state=np.zeros((n_envs, state_d)),
+        obs=np.zeros((n_envs, n, obs_d)), actions=np.zeros((n_envs, n), np.int64),
+        rewards=np.zeros((n_envs, n)), next_obs=seen_obs[:n_envs],
+        state=np.zeros((n_envs, state_d)), next_state=seen_state[:n_envs],
         done=np.zeros((n_envs, n), bool), active=np.zeros((n_envs, n), bool),
         terminal=np.zeros(n_envs, bool))
+
+    def gather(envs: list[EnvState]) -> np.ndarray:
+        """Observe ``envs`` into the leading rows of seen_obs and seen_state,
+        zeros for inactive agents; returns their (E, n) active mask."""
+        obs, active = observe(envs, out=windows)
+        seen_obs[:len(envs)] = 0.0
+        seen_obs[:len(envs)][active] = obs.reshape(len(obs), obs_d)
+        for e, env in enumerate(envs):
+            env.global_state(out=seen_state[e].reshape(3, config.size, config.size))
+        return active
+
+    block.active[:] = gather([slot.env for slot in slots])
+    block.obs[:] = seen_obs[:n_envs]
+    block.state[:] = seen_state[:n_envs]
     try:
         last_report = emit_row()  # initial row at step 0
         next_eval_at = config.eval_interval
         while steps_done < config.total_steps and not stop:
             eps = epsilon_at(steps_done, config)
             # batched greedy pass over every slot's agents, one GEMM for all
-            for e, slot in enumerate(slots):
-                all_obs[e * n:(e + 1) * n] = slot.obs
-            q_all, _ = forward(bundle.agent_net, all_obs)
+            q_all, _ = forward(bundle.agent_net, block.obs.reshape(n_envs * n, obs_d))
             greedy = q_all.argmax(axis=1).reshape(n_envs, n)
+            stepped, fresh = [slot.env for slot in slots], []
             for e, slot in enumerate(slots):
                 actions = qmix_core.epsilon_greedy(greedy[e], eps, slot.explore_rng,
-                                                   slot.active)
-                block.state[e] = slot.state
-                block.active[e] = slot.active
+                                                   block.active[e])
                 outcome = slot.env.step(actions)
-                slot._refresh()
                 block.actions[e] = actions
                 block.rewards[e] = outcome.rewards
-                block.next_obs[e] = slot.obs
-                block.next_state[e] = slot.state
                 block.done[e] = outcome.done
                 block.terminal[e] = outcome.episode_over
                 if outcome.episode_over:
                     slot.reset()
+                    fresh.append(e)
+            active = gather(stepped + [slots[e].env for e in fresh])
             buffer.push(block)
+            # the next step starts where the stepped envs are now, and from
+            # the new envs in the slots that were reset
+            new = slice(n_envs, n_envs + len(fresh))
+            for rows, seen in ((block.obs, seen_obs), (block.state, seen_state),
+                               (block.active, active)):
+                rows[:] = seen[:n_envs]
+                rows[fresh] = seen[new]
             steps_done += n_envs
 
             if buffer.size >= config.min_buffer:
@@ -484,9 +489,9 @@ def bench_env_stepping(env_config: EnvConfig, n_steps: int = 30_000,
                        time_fn=time.perf_counter) -> dict:
     """Agent-steps per second of raw environment stepping.
 
-    Only the stepping work (and, optionally, per-agent observation
-    encoding) is timed; episode resets generate fresh maps outside the
-    measured window. Actions are drawn ahead of time.
+    Only the stepping work (and, optionally, the window gather) is timed;
+    episode resets generate fresh maps outside the measured window. Actions
+    are drawn ahead of time.
     """
     rng = np.random.default_rng(env_config.seed)
     n = env_config.n_agents
@@ -494,8 +499,6 @@ def bench_env_stepping(env_config: EnvConfig, n_steps: int = 30_000,
     def fresh_env() -> EnvState:
         return generate(replace(env_config, seed=int(rng.integers(2**63))))
 
-    width = 2 * env_config.obs_radius + 1
-    obs_buf = np.zeros((n, 4, width, width))
     actions = rng.integers(0, 5, size=(n_steps, n))
     env = fresh_env()
     agent_steps = 0
@@ -504,7 +507,7 @@ def bench_env_stepping(env_config: EnvConfig, n_steps: int = 30_000,
         t0 = time_fn()
         outcome = env.step(actions[k])
         if include_observations:
-            observe_all(env, obs_buf)
+            observe([env])
         elapsed += time_fn() - t0
         agent_steps += n
         if outcome.episode_over:

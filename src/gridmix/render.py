@@ -8,7 +8,8 @@ cells outside that agent's observation window render as spaces.
 
 An episode log is a JSON document with the map record, the observation
 radius, and one frame per state (episode length + 1 frames): each frame
-holds per-agent positions and active flags.
+holds per-agent positions and active flags. EpisodeLogs records them
+from the rollouts that evaluate() scores.
 """
 from __future__ import annotations
 
@@ -23,24 +24,21 @@ class MalformedLog(ValueError):
     """The episode log is missing required structure."""
 
 
-def rollout_episode_log(env: EnvState, policy) -> dict:
-    """Roll ``policy`` on ``env`` to completion and record every frame."""
-    def frame() -> dict:
-        return {
+class EpisodeLogs(dict):
+    """A play_episode ``on_step`` callback that logs repeat 0 of every map,
+    keyed by map index: one frame per state the episode saw."""
+
+    def __call__(self, env: EnvState, key) -> None:
+        index, repeat = key
+        if repeat:
+            return
+        if env.t == 0:
+            self[index] = {"format_version": LOG_VERSION, "map": map_record(env),
+                           "obs_radius": env.config.obs_radius, "frames": []}
+        self[index]["frames"].append({
             "positions": [[int(ag.pos[0]), int(ag.pos[1])] for ag in env.agents],
             "active": [bool(ag.active) for ag in env.agents],
-        }
-
-    log = {
-        "format_version": LOG_VERSION,
-        "map": map_record(env),
-        "obs_radius": env.config.obs_radius,
-        "frames": [frame()],
-    }
-    while not env.episode_over:
-        env.step(policy.actions([env], [(0, 0)])[0])
-        log["frames"].append(frame())
-    return log
+        })
 
 
 def render_frame(record: dict, positions, active,

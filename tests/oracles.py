@@ -2,9 +2,13 @@
 
 These deliberately share no code with the package: the simulator works on
 plain dicts and tuples and recomputes every BFS field from scratch each
-step, and the projection search enumerates window border cells directly.
+step, the projection search enumerates window border cells directly, the
+window reference reads only public env state cell by cell, and the
+gradient checker compares against central finite differences.
 """
 from __future__ import annotations
+
+import numpy as np
 
 # action code -> (row delta, col delta); part of the serialization contract
 DELTAS = {0: (0, 0), 1: (-1, 0), 2: (1, 0), 3: (0, -1), 4: (0, 1)}
@@ -109,3 +113,85 @@ def nearest_border_cells(delta_row, delta_col, radius):
     cells = border_cells(radius)
     best = min(key(c) for c in cells)
     return [c for c in cells if key(c) == best]
+
+
+def reference_window(env, i):
+    """Agent i's (4, 2R+1, 2R+1) window, cell by cell from public env state.
+
+    Reads only ``env.grid.blocked``, ``env.config.obs_radius`` and each
+    agent's ``pos``, ``goal``, ``active`` and ``dist_field``.
+    """
+    radius = env.config.obs_radius
+    size = len(env.grid.blocked)
+    me = env.agents[i]
+    assert me.active
+    others = [ag for j, ag in enumerate(env.agents) if j != i and ag.active]
+    window = np.zeros((4, 2 * radius + 1, 2 * radius + 1))
+    for dr in range(-radius, radius + 1):
+        for dc in range(-radius, radius + 1):
+            cell = (me.pos[0] + dr, me.pos[1] + dc)
+            at = (dr + radius, dc + radius)
+            inside = 0 <= cell[0] < size and 0 <= cell[1] < size
+            window[0][at] = 1.0 if not inside or env.grid.blocked[cell] else 0.0
+            window[1][at] = 1.0 if any(ag.pos == cell for ag in others) else 0.0
+            window[2][at] = 1.0 if any(ag.goal == cell for ag in others) else 0.0
+    window[1, radius, radius] = 1.0 / me.dist_field[me.pos]
+    gr = min(max(me.goal[0] - me.pos[0], -radius), radius)
+    gc = min(max(me.goal[1] - me.pos[1], -radius), radius)
+    window[3, gr + radius, gc + radius] = 1.0
+    return window
+
+
+# activations with a non-differentiable point at 0
+KINKED_ACTIVATIONS = ("relu", "abs")
+
+
+def tape_has_kink(tape, threshold=1e-7):
+    """True when some ReLU/Abs pre-activation of a forward tape sits within
+    ``threshold`` of 0, where finite differences are unreliable."""
+    for act, z in zip(tape.params.topology.activations, tape.preacts):
+        if act in KINKED_ACTIVATIONS and np.any(np.abs(z) < threshold):
+            return True
+    return False
+
+
+def finite_diff_check(flat_params, loss_fn, eps=1e-5, n_coords=None, rng=None,
+                      tolerance=None):
+    """Compare analytic gradients against central finite differences.
+
+    ``loss_fn(flat) -> (loss, grad)`` must be differentiable at the given
+    point (resample the instance when a kink is hit, see tape_has_kink).
+    Checks every coordinate, or a random subset of ``n_coords``. The
+    relative error denominator is floored at 1e-6 to absorb cancellation
+    noise in near-zero gradient entries. When ``tolerance`` is given, an
+    AssertionError reports the worst coordinate if it is exceeded. Returns
+    the largest relative error.
+    """
+    flat_params = np.asarray(flat_params, dtype=np.float64)
+    _, analytic = loss_fn(flat_params)
+    n = flat_params.shape[0]
+    if n_coords is None or n_coords >= n:
+        coords = np.arange(n)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        coords = rng.choice(n, size=n_coords, replace=False)
+    work = flat_params.copy()
+    max_err = 0.0
+    worst = -1
+    for i in coords:
+        saved = work[i]
+        work[i] = saved + eps
+        loss_plus = loss_fn(work)[0]
+        work[i] = saved - eps
+        loss_minus = loss_fn(work)[0]
+        work[i] = saved
+        fd = (loss_plus - loss_minus) / (2.0 * eps)
+        err = abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6)
+        if err > max_err:
+            max_err = err
+            worst = int(i)
+    if tolerance is not None and max_err > tolerance:
+        raise AssertionError(
+            f"gradient mismatch {max_err:.3e} > {tolerance:.1e} at coord {worst}")
+    return max_err

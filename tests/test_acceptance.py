@@ -15,7 +15,7 @@ import scipy.stats
 
 from gridmix import qmix_core as qc
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy
-from gridmix.dense_net import finite_diff_check, forward, tape_has_kink
+from gridmix.dense_net import forward
 from gridmix.grid_world import EnvConfig, generate, map_record
 from gridmix.harness import (RunConfig, bench_env_stepping, bench_train_loop,
                              evaluate, train)
@@ -24,7 +24,8 @@ from gridmix.observation import project_goal
 from gridmix.qmix_core import MixerBundle, mix_forward_batch
 from gridmix.replay_buffer import Batch, Buffer, JointTransition
 
-from oracles import BruteForceSim, nearest_border_cells
+from oracles import (BruteForceSim, finite_diff_check, nearest_border_cells,
+                     tape_has_kink)
 
 # pinned from calibration curves: the learner comparison runs where the
 # mixer has converged on the give-way family but the independent ablation

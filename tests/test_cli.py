@@ -5,7 +5,8 @@ import os
 import pytest
 
 from gridmix.cli import main
-from gridmix.mapsets import load_mapset, save_mapset
+from gridmix.grid_world import EnvConfig
+from gridmix.mapsets import gen_mapset, load_mapset, save_mapset
 from gridmix.observation import obs_dim
 from gridmix.qmix_core import MixerBundle, bundle_to_payload
 
@@ -116,3 +117,66 @@ def test_bench_writes_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "replay_bytes_per_entry: 345" in out
     assert "recorded" in out
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "missing_ckpt", "missing_maps", "cell_outside_grid",
+    "train_truncated", "gen-maps_truncated", "bench_truncated",
+    "train_not_object", "gen-maps_not_object", "bench_not_object",
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
+    maps_path = str(tmp_path / "maps.json")
+    main(["gen-maps", "--kind", "random", "--count", "2",
+          "--config", config_path, "--seed", "4", "--out", maps_path])
+    missing = str(tmp_path / "missing.json")
+    if case == "missing_ckpt":
+        argv = ["eval", "--ckpt", missing, "--maps", maps_path]
+    elif case == "missing_maps":
+        argv = ["eval", "--baseline", "random", "--maps", missing]
+    elif case == "cell_outside_grid":
+        mapset = load_mapset(maps_path)
+        mapset["maps"][1]["agents"][0]["start"] = [-1, 0]
+        save_mapset(mapset, maps_path)
+        argv = ["eval", "--baseline", "greedy_bfs", "--maps", maps_path]
+    else:
+        command, kind = case.split("_", 1)
+        text = '{"size": 8,' if kind == "truncated" else "[1, 2]"
+        bad = _write(str(tmp_path / "bad.json"), text)
+        argv = {"train": ["train", "--config", bad, "--out", str(tmp_path / "run")],
+                "gen-maps": ["gen-maps", "--kind", "random", "--count", "2",
+                             "--config", bad, "--out", maps_path],
+                "bench": ["bench", "--config", bad]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("baseline", ["random", "greedy_bfs"])
+def test_saved_logs_are_the_scored_episodes(tmp_path, baseline):
+    # the final frame of each map's log scores what the evaluation scored
+    mapset = gen_mapset("random", 40, EnvConfig(size=8, density=0.3, n_agents=2,
+                                                obs_radius=5, horizon=16), seed=5)
+    maps_path = str(tmp_path / "maps.json")
+    save_mapset(mapset, maps_path)
+    report_path, logs_dir = str(tmp_path / "report.json"), str(tmp_path / "logs")
+    assert main(["eval", "--baseline", baseline, "--maps", maps_path,
+                 "--out", report_path, "--save-logs", logs_dir]) == 0
+    with open(report_path) as fh:
+        per_map = json.load(fh)["per_map"]
+    assert len(os.listdir(logs_dir)) == len(per_map) == 40
+    for i, record in enumerate(mapset["maps"]):
+        with open(os.path.join(logs_dir, f"episode_{i:04d}.json")) as fh:
+            log = json.load(fh)
+        assert log["map"] == record
+        final = log["frames"][-1]
+        assert not any(final["active"])
+        goals = [agent["goal"] for agent in record["agents"]]
+        reached = [pos == goal for pos, goal in zip(final["positions"], goals)]
+        assert sum(reached) / len(reached) == per_map[i], f"map {i}"

@@ -383,3 +383,14 @@ class TestMapRecords:
                   "agents": [{"start": [0, 0], "goal": [2, 2]}], "seed": 0}
         with pytest.raises(ValueError):
             env_from_record(record, obs_radius=1, horizon=5)
+
+    @pytest.mark.parametrize("blocked,agent,field", [
+        ([[99, 99]], {"start": [0, 0], "goal": [2, 2]}, "blocked cell"),
+        ([[0, -1]], {"start": [0, 0], "goal": [2, 2]}, "blocked cell"),
+        ([], {"start": [-1, 0], "goal": [2, 2]}, "agent 0 start"),
+        ([], {"start": [0, 0], "goal": [2, 8]}, "agent 0 goal"),
+    ])
+    def test_cell_outside_grid_rejected(self, blocked, agent, field):
+        record = {"size": 8, "blocked": blocked, "agents": [agent], "seed": 0}
+        with pytest.raises(ValueError, match=f"{field} .* lies outside"):
+            env_from_record(record, obs_radius=1, horizon=5)

@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from gridmix import harness
-from gridmix.baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy
+from gridmix.baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy, play_episode
 from gridmix.grid_world import EnvConfig, GenerationFailed, env_from_record, map_hash
 from gridmix.harness import (ConfigInvalid, RunConfig, TopologyMismatch,
                              bench_env_stepping, bench_train_loop, epsilon_at,
                              evaluate, train)
 from gridmix.mapsets import (gen_mapset, greedy_rollout_fails, load_mapset,
                              mapset_hash, sample_giveway_record, save_mapset)
-from gridmix.observation import obs_dim, observe_all
+from gridmix.observation import obs_dim
 from gridmix.qmix_core import MixerBundle, load_bundle, select_actions
-from gridmix.render import (MalformedLog, render_episode, render_frame, render_map,
-                            rollout_episode_log)
+from gridmix.render import (EpisodeLogs, MalformedLog, render_episode, render_frame,
+                            render_map)
+
+from oracles import reference_window
 
 
 def env_config(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
@@ -275,12 +277,14 @@ def serial_per_map(act, mapset, repeats=1):
 
 
 def net_act(bundle):
-    """Greedy bundle actions for one env through observe_all and select_actions."""
+    """Greedy bundle actions for one env through the oracle's windows (zero
+    rows for inactive agents) and select_actions."""
     def act(env, key):
-        width = 2 * env.config.obs_radius + 1
-        obs = np.zeros((env.n_agents, 4, width, width))
-        active = observe_all(env, obs)
-        return select_actions(bundle, obs.reshape(env.n_agents, -1), 0.0, active=active)
+        active = np.array([ag.active for ag in env.agents])
+        obs = np.zeros((env.n_agents, bundle.obs_dim))
+        for i in np.flatnonzero(active):
+            obs[i] = reference_window(env, i).reshape(-1)
+        return select_actions(bundle, obs, 0.0, active=active)
     return act
 
 
@@ -404,7 +408,9 @@ class TestRender:
         record = {"size": 3, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [0, 2]}], "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=6)
-        log = rollout_episode_log(env, GreedyBfsPolicy())
+        logs = EpisodeLogs()
+        play_episode([env], GreedyBfsPolicy(), [(0, 0)], on_step=logs)
+        log = logs[0]
         assert len(log["frames"]) == 3  # two moves, plus the initial frame
         frames = render_episode(log)
         assert "0" in frames[0] and "0" not in frames[-1]  # finished agent gone

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmix.grid_world import Action, EnvConfig, env_from_record, generate, stack_planes
-from gridmix.observation import (InactiveAgent, obs_dim, observe, observe_all,
-                                 observe_envs, project_goal)
+from gridmix.observation import obs_dim, observe, project_goal
 
-from oracles import nearest_border_cells
+from oracles import nearest_border_cells, reference_window
 
 
 def env_from(size, blocked, agents, obs_radius, horizon=10):
@@ -15,6 +14,13 @@ def env_from(size, blocked, agents, obs_radius, horizon=10):
               "agents": [{"start": list(s), "goal": list(g)} for s, g in agents],
               "seed": 0}
     return env_from_record(record, obs_radius=obs_radius, horizon=horizon)
+
+
+def window(env, i):
+    """Agent i's row of observe([env])."""
+    obs, active = observe([env])
+    assert active[0, i]
+    return obs[int(active[0, :i].sum())]
 
 
 class TestProjectGoal:
@@ -47,14 +53,14 @@ class TestObserve:
     def test_shape_and_flat_length(self):
         env = generate(EnvConfig(size=8, density=0.3, n_agents=2, obs_radius=5,
                                  horizon=16, goal_dist=5, seed=4))
-        obs = observe(env, 0)
+        obs = window(env, 0)
         assert obs.shape == (4, 11, 11)
         assert obs.reshape(-1).shape == (484,)
         assert obs_dim(5) == 484
 
     def test_flat_ordering_row_major_channel_blocks(self):
         env = env_from(4, [[0, 3]], [((1, 1), (3, 3))], obs_radius=1)
-        obs = observe(env, 0)
+        obs = window(env, 0)
         flat = obs.reshape(-1)
         width = 3
         for ch in range(4):
@@ -64,30 +70,30 @@ class TestObserve:
     def test_out_of_grid_encoded_as_obstacle(self):
         # agent in the top-left corner: everything above and left is 1
         env = env_from(6, [], [((0, 0), (5, 5))], obs_radius=2)
-        ch0 = observe(env, 0)[0]
+        ch0 = window(env, 0)[0]
         assert (ch0[:2, :] == 1.0).all()
         assert (ch0[:, :2] == 1.0).all()
         assert ch0[2, 2] == 0.0  # own (free) cell
 
     def test_center_carries_inverse_goal_distance(self):
         env = env_from(6, [], [((2, 2), (2, 5))], obs_radius=2)
-        obs = observe(env, 0)
+        obs = window(env, 0)
         assert obs[1, 2, 2] == pytest.approx(1.0 / 3.0)
 
     def test_center_value_one_when_adjacent(self):
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
-        assert observe(env, 0)[1, 2, 2] == 1.0
+        assert window(env, 0)[1, 2, 2] == 1.0
 
     def test_sees_other_agent_not_self(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (0, 0))], obs_radius=2)
-        ch1 = observe(env, 0)[1]
+        ch1 = window(env, 0)[1]
         assert ch1[2, 4] == 1.0          # the other agent
         assert 0.0 < ch1[2, 2] < 1.0     # center is 1/d, never a self marker
         assert ch1.sum() == ch1[2, 4] + ch1[2, 2]
 
     def test_other_goal_channel(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((4, 4), (2, 3))], obs_radius=2)
-        obs = observe(env, 0)
+        obs = window(env, 0)
         assert obs[2, 2, 3] == 1.0  # other agent's goal, in window
         assert obs[2].sum() == 1.0
         # own goal out of window: not in channel 2, projected in channel 3
@@ -96,41 +102,42 @@ class TestObserve:
 
     def test_own_goal_inside_window_exact_cell(self):
         env = env_from(6, [], [((2, 2), (3, 3))], obs_radius=2)
-        obs = observe(env, 0)
+        obs = window(env, 0)
         assert obs[3, 3, 3] == 1.0
         assert obs[3].sum() == 1.0
 
     def test_other_goals_not_projected(self):
         # the second agent's goal is far outside the first agent's window
         env = env_from(8, [], [((1, 1), (7, 7)), ((1, 3), (7, 0))], obs_radius=2)
-        obs = observe(env, 0)
+        obs = window(env, 0)
         assert obs[2].sum() == 0.0
 
     def test_shared_goal_still_marked_for_other(self):
         env = env_from(6, [], [((2, 2), (2, 3)), ((4, 4), (2, 3))], obs_radius=2)
-        obs = observe(env, 0)
+        obs = window(env, 0)
         # another active agent shares my goal cell: channel 2 keeps the mark
         assert obs[2, 2, 3] == 1.0
 
     def test_projection_may_overlap_obstacle_marks(self):
         # channels are independent: the projected goal cell may be a wall
         env = env_from(8, [[2, 4]], [((2, 2), (2, 7))], obs_radius=2)
-        obs = observe(env, 0)
+        obs = window(env, 0)
         assert obs[0, 2, 4] == 1.0
         assert obs[3, 2, 4] == 1.0
 
     def test_finished_agents_invisible(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (2, 3))], obs_radius=2)
         env.step([Action.STAY, Action.LEFT])  # agent 1 reaches its goal
-        obs = observe(env, 0)
+        obs = window(env, 0)
         assert obs[1, 2, 4] == 0.0  # no longer on the map
         assert obs[2].sum() == 0.0  # its goal marker is gone too
 
-    def test_inactive_agent_rejected(self):
+    def test_inactive_agent_has_no_row(self):
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
         env.step([Action.RIGHT])
-        with pytest.raises(InactiveAgent):
-            observe(env, 0)
+        obs, active = observe([env])
+        assert obs.shape == (0, 4, 5, 5)
+        assert active.tolist() == [[False]]
 
     def test_value_ranges_and_binary_channels(self):
         env = generate(EnvConfig(size=8, density=0.3, n_agents=3, obs_radius=3,
@@ -140,7 +147,7 @@ class TestObserve:
             for i, ag in enumerate(env.agents):
                 if not ag.active:
                     continue
-                data = observe(env, i)
+                data = window(env, i)
                 assert (data >= 0.0).all() and (data <= 1.0).all()
                 for ch in (0, 2, 3):
                     assert set(np.unique(data[ch])) <= {0.0, 1.0}
@@ -150,21 +157,21 @@ class TestObserve:
 
     def test_out_parameter_reuses_storage(self):
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
-        buf = np.zeros((4, 5, 5))
-        obs = observe(env, 0, out=buf)
-        assert obs is buf
+        buf = np.zeros((3, 4, 5, 5))
+        obs, _ = observe([env], out=buf)
+        assert np.shares_memory(obs, buf) and obs.shape == (1, 4, 5, 5)
+        assert np.array_equal(buf[0], reference_window(env, 0))
 
-    def test_observe_all_zeroes_inactive_rows(self):
+    def test_rows_skip_inactive_agents(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (2, 3)), ((4, 1), (0, 0))],
                        obs_radius=2)
         env.step([Action.STAY, Action.LEFT, Action.STAY])  # agent 1 reaches its goal
-        buf = np.full((3, 4, 5, 5), 7.0)
-        active = observe_all(env, buf)
-        assert list(active) == [ag.active for ag in env.agents] == [True, False, True]
+        obs, active = observe([env])
+        assert active.tolist() == [[True, False, True]]
         assert active.dtype == bool
-        assert (buf[1] == 0.0).all()
-        for i in (0, 2):
-            assert np.array_equal(buf[i], observe(env, i))
+        assert len(obs) == 2
+        for row, i in zip(obs, (0, 2)):
+            assert np.array_equal(row, reference_window(env, i))
 
 
 def random_env(rng, size, n_agents, obs_radius):
@@ -193,8 +200,9 @@ def random_env(rng, size, n_agents, obs_radius):
 class TestObserveEnvs:
     @pytest.mark.parametrize("stacked", [True, False])
     def test_rows_equal_observe(self, stacked):
-        # inactive agents, finished episodes, goals outside the window and
-        # shared goal cells; stacked planes must stay current while stepping
+        # rows equal the oracle's windows with inactive agents, finished
+        # episodes, goals outside the window and shared goal cells; stacked
+        # planes must stay current while stepping
         rng = np.random.default_rng(3 if stacked else 4)
         shared = outside = inactive = 0
         for _ in range(30):
@@ -208,9 +216,9 @@ class TestObserveEnvs:
                     if env.episode_over:
                         break
                     env.step(rng.integers(0, 5, size=n))
-            obs, active = observe_envs(envs)
+            obs, active = observe(envs)
             assert active.tolist() == [[ag.active for ag in env.agents] for env in envs]
-            expected = [observe(env, i) for env in envs
+            expected = [reference_window(env, i) for env in envs
                         for i, ag in enumerate(env.agents) if ag.active]
             assert obs.shape == (len(expected), 4, 2 * radius + 1, 2 * radius + 1)
             assert all(np.array_equal(row, ref) for row, ref in zip(obs, expected))

@@ -7,12 +7,14 @@ import pytest
 from gridmix import qmix_core as qc
 from gridmix import dense_net
 from gridmix.dense_net import (NetParams, NonFiniteGradient, ShapeMismatch, Topology,
-                               backward, finite_diff_check, forward, init_params)
+                               backward, forward, init_params)
 from gridmix.grid_world import Action
 from gridmix.qmix_core import (MODES, MixerBundle, bundle_from_payload, bundle_to_payload,
                                load_bundle, mix_forward_batch, save_bundle, select_actions,
                                sync_targets, td_targets, train_step)
 from gridmix.replay_buffer import Batch
+
+from oracles import finite_diff_check
 
 
 def make_bundle(n_agents=2, obs_dim=10, state_dim=8, mode="qmix", embed_dim=8, seed=1,

@@ -4,7 +4,7 @@ import pytest
 
 from gridmix.grid_world import Action, EnvConfig, env_from_record, generate
 from gridmix.harness import RunConfig
-from gridmix.observation import obs_dim, observe_all
+from gridmix.observation import obs_dim, observe
 from gridmix.replay_buffer import Buffer, JointTransition, Underfilled
 
 
@@ -101,13 +101,14 @@ class TestPacking:
             {"start": [4, 1], "goal": [0, 0]}]}
         envs.append(env_from_record(record, obs_radius=radius, horizon=10))
         od = obs_dim(radius)
-        buf_obs = np.zeros((3, 4, 2 * radius + 1, 2 * radius + 1))
         rng = np.random.default_rng(0)
         obs_ref, state_ref = [], []
         for env in envs:
             for _ in range(3):
-                observe_all(env, buf_obs)
-                obs_ref.append(buf_obs.reshape(3, od).astype(np.float32))
+                obs, active = observe([env])
+                rows = np.zeros((3, od), dtype=np.float32)  # zero rows when inactive
+                rows[active[0]] = obs.reshape(len(obs), od)
+                obs_ref.append(rows)
                 state_ref.append(env.global_state().reshape(-1).astype(np.float32))
                 moves = rng.integers(0, 5, size=3)
                 if env is envs[-1]:
