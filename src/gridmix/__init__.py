@@ -4,7 +4,7 @@ from .grid_world import (Action, AgentState, EnvConfig, EnvState, GenerationFail
                          GridMap, InvalidActionCount, StepOutcome,
                          bfs_distance_field, env_from_record, generate,
                          map_hash, map_record, reward_for)
-from .observation import obs_dim, observe, project_goal
+from .observation import obs_dim, observe
 from .dense_net import (AdamState, NetParams, NonFiniteGradient, ShapeMismatch, Tape,
                         Topology, adam_step, backward, clip_global_norm, forward,
                         init_params)

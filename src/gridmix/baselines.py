@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_world import ACTION_DELTAS, Action, EnvState
-
-N_ACTIONS = 5
+from .grid_world import ACTION_DELTAS, N_ACTIONS, Action, EnvState
 
 
 class RandomPolicy:

@@ -163,15 +163,11 @@ def forward(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
     return x, Tape(params, inputs, preacts)
 
 
-def backward(tape: Tape, grad_output: np.ndarray,
-             need_input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact gradients of sum(grad_output * output) w.r.t. params and input.
+def backward(tape: Tape, grad_output: np.ndarray) -> np.ndarray:
+    """Exact gradient of sum(grad_output * output) w.r.t. the parameters.
 
-    Parameter gradients are summed over batch rows and returned as one flat
-    vector in the parameter layout; the input gradient is (batch, n_in).
-    Passing ``need_input_grad=False`` skips the first layer's
-    input-gradient matmul (a real saving on wide inputs) and returns None
-    in its place.
+    Summed over batch rows and returned as a fresh flat vector in the
+    parameter layout. The first layer's input gradient is never formed.
     """
     params = tape.params
     g = np.asarray(grad_output, dtype=np.float64)
@@ -186,33 +182,26 @@ def backward(tape: Tape, grad_output: np.ndarray,
         gw, gb = grads.layers[layer]
         np.matmul(dz.T, tape.inputs[layer], out=gw)
         dz.sum(axis=0, out=gb)
-        if layer == 0 and not need_input_grad:
-            return grad_flat, None
-        w, _ = params.layers[layer]
-        g = dz @ w
-    return grad_flat, g
+        if layer > 0:
+            g = dz @ params.layers[layer][0]
+    return grad_flat
 
 
-@dataclass
+# standard Adam constants (Kingma and Ba)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Adaptive-moment optimizer state over one flat parameter vector."""
 
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        self._scratch = np.empty_like(self.m)
-
-    @classmethod
-    def for_size(cls, n: int, lr: float = 5e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), step=0,
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def __init__(self, n: int, lr: float = 5e-4):
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self.step = 0
+        self.lr = lr
+        self._scratch = np.empty(n)
 
 
 def adam_step(flat_params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
@@ -230,17 +219,17 @@ def adam_step(flat_params: np.ndarray, grads: np.ndarray, state: AdamState) -> n
         raise NonFiniteGradient("non-finite gradient entry; halting update")
     state.step += 1
     scratch = state._scratch
-    state.m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=scratch)
+    state.m *= ADAM_BETA1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=scratch)
     state.m += scratch
-    state.v *= state.beta2
+    state.v *= ADAM_BETA2
     np.square(grads, out=scratch)
-    scratch *= 1.0 - state.beta2
+    scratch *= 1.0 - ADAM_BETA2
     state.v += scratch
-    s2 = math.sqrt(1.0 - state.beta2 ** state.step)
-    alpha = state.lr * s2 / (1.0 - state.beta1 ** state.step)
+    s2 = math.sqrt(1.0 - ADAM_BETA2 ** state.step)
+    alpha = state.lr * s2 / (1.0 - ADAM_BETA1 ** state.step)
     np.sqrt(state.v, out=scratch)
-    scratch += state.eps * s2
+    scratch += ADAM_EPS * s2
     np.divide(state.m, scratch, out=scratch)
     scratch *= alpha
     flat_params -= scratch

@@ -44,6 +44,8 @@ class Action(IntEnum):
     RIGHT = 4
 
 
+N_ACTIONS = len(Action)
+
 # (row delta, col delta) per action code; codes are part of the wire format.
 ACTION_DELTAS: tuple[tuple[int, int], ...] = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
 

@@ -84,13 +84,10 @@ class RunConfig:
     mode: str = "qmix"
     total_steps: int = 100_000
     eval_interval: int = 25_000
-    eval_maps: str | None = None       # path; generated when absent
-    eval_map_kind: str | None = None   # defaults to train_map_kind
+    eval_maps: str | None = None       # path; generated from train_map_kind when absent
     eval_map_count: int = 40
-    eval_repeats: int = 1
     train_map_kind: str = "random"
     n_envs: int = 8
-    train_every: int | None = None     # env steps per learner update; default n_envs
     buffer_capacity: int = 100_000
     min_buffer: int = 1_000
     batch_size: int = 64
@@ -121,14 +118,12 @@ class RunConfig:
             raise ConfigInvalid("n_envs, batch_size, buffer_capacity must be >= 1")
         if not (self.batch_size <= self.min_buffer <= self.buffer_capacity):
             raise ConfigInvalid("need batch_size <= min_buffer <= buffer_capacity")
-        if self.train_every is not None and self.train_every < 1:
-            raise ConfigInvalid("train_every must be >= 1")
         if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
             raise ConfigInvalid("need 0 <= eps_end <= eps_start <= 1")
         if not (0.0 <= self.eps_fraction <= 1.0):
             raise ConfigInvalid("eps_fraction must be in [0, 1]")
-        if self.eval_repeats < 1 or self.eval_map_count < 1:
-            raise ConfigInvalid("eval_repeats and eval_map_count must be >= 1")
+        if self.eval_map_count < 1:
+            raise ConfigInvalid("eval_map_count must be >= 1")
         if self.target_sync < 1 or self.embed_dim < 1:
             raise ConfigInvalid("target_sync and embed_dim must be >= 1")
         if not (self.lr > 0 and self.grad_clip > 0):
@@ -325,9 +320,8 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
     if config.eval_maps is not None:
         eval_set = load_mapset(config.eval_maps)
     else:
-        kind = config.eval_map_kind or config.train_map_kind
         eval_seed = int(_stream_rng(config.seed, _TAG_EVALSET).integers(2**63))
-        eval_set = gen_mapset(kind, config.eval_map_count,
+        eval_set = gen_mapset(config.train_map_kind, config.eval_map_count,
                               config.env_config(seed=0), seed=eval_seed)
         with open(os.path.join(out_dir, "eval_maps.json"), "w") as fh:
             json.dump(eval_set, fh)
@@ -351,10 +345,8 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
     for slot in slots:
         slot.reset()
 
-    train_every = config.train_every or config.n_envs
     steps_done = 0
     trains_done = 0
-    train_baseline: int | None = None
     loss_acc: list[float] = []
     qtot_acc: list[float] = []
     norm_acc: list[float] = []
@@ -371,8 +363,7 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
 
     def emit_row() -> EvalReport:
         nonlocal last_row_steps, loss_acc, qtot_acc, norm_acc
-        report = evaluate(bundle, eval_set, repeats=config.eval_repeats,
-                          steps_so_far=steps_done, time_fn=time_fn)
+        report = evaluate(bundle, eval_set, steps_so_far=steps_done, time_fn=time_fn)
         row = (
             steps_done,
             repr(float(np.mean(loss_acc))) if loss_acc else "nan",
@@ -448,18 +439,13 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
             steps_done += n_envs
 
             if buffer.size >= config.min_buffer:
-                if train_baseline is None:
-                    train_baseline = steps_done
-                due = (steps_done - train_baseline) // train_every + 1
-                while trains_done < due:
-                    report = qmix_core.train_step(bundle,
-                                                  buffer.sample(config.batch_size))
-                    trains_done += 1
-                    loss_acc.append(report.loss)
-                    qtot_acc.append(report.q_tot_mean)
-                    norm_acc.append(report.grad_norm)
-                    if trains_done % config.target_sync == 0:
-                        qmix_core.sync_targets(bundle)
+                report = qmix_core.train_step(bundle, buffer.sample(config.batch_size))
+                trains_done += 1
+                loss_acc.append(report.loss)
+                qtot_acc.append(report.q_tot_mean)
+                norm_acc.append(report.grad_norm)
+                if trains_done % config.target_sync == 0:
+                    qmix_core.sync_targets(bundle)
 
             if steps_done >= next_eval_at:
                 last_report = emit_row()

@@ -56,10 +56,17 @@ def save_mapset(mapset: dict, path: str) -> None:
 
 
 def load_mapset(path: str) -> dict:
+    """The map set at ``path``; a record missing a key raises ValueError naming it."""
     with open(path) as fh:
         mapset = json.load(fh)
     if mapset.get("format_version") != MAPSET_VERSION:
         raise ValueError(f"unsupported mapset version {mapset.get('format_version')}")
+    for i, record in enumerate(mapset["maps"]):
+        missing = [key for key in ("size", "blocked", "agents") if key not in record]
+        missing += [f"agent {j} {key}" for j, agent in enumerate(record.get("agents", ()))
+                    for key in ("start", "goal") if key not in agent]
+        if missing:
+            raise ValueError(f"map {i} has no {', '.join(missing)}")
     return mapset
 
 

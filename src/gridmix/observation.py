@@ -22,19 +22,6 @@ from numpy.lib.stride_tricks import as_strided
 from .grid_world import EnvState, shared_planes
 
 
-def project_goal(delta_row: int, delta_col: int, radius: int) -> tuple[int, int]:
-    """Clamp a goal offset into the observation window [-R, R]^2.
-
-    In-window offsets are returned unchanged. Otherwise the result lies on
-    the window border: it keeps any in-range axis coordinate, and lands on
-    the nearest corner when both axes are out of range.
-    """
-    return (
-        min(max(delta_row, -radius), radius),
-        min(max(delta_col, -radius), radius),
-    )
-
-
 def obs_dim(obs_radius: int) -> int:
     """Flattened observation length for a given view radius."""
     width = 2 * obs_radius + 1

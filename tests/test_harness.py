@@ -89,7 +89,7 @@ class TestRunConfig:
         dict(min_buffer=32, batch_size=64),
         dict(eps_start=0.1, eps_end=0.5),
         dict(size=1),
-        dict(train_every=0),
+        dict(eval_map_count=0),
         dict(min_buffer=200, buffer_capacity=100),
         dict(gamma=1.0),
     ])

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmix.grid_world import Action, EnvConfig, env_from_record, generate, stack_planes
-from gridmix.observation import obs_dim, observe, project_goal
+from gridmix.observation import obs_dim, observe
 
-from oracles import nearest_border_cells, reference_window
+from oracles import nearest_border_cells, project_goal, reference_window
 
 
 def env_from(size, blocked, agents, obs_radius, horizon=10):

@@ -523,7 +523,7 @@ class TestFusedMixer:
         grad_outs = {"hw1": (qs[:, :, None] * d_hidden_pre[:, None, :]).reshape(9, -1),
                      "hb1": d_hidden_pre, "hw2": g[:, None] * hidden, "hb2": g[:, None]}
         ref_grad = fused_layout(bundle, {
-            name: backward(tapes[name], grad_outs[name], need_input_grad=False)[0]
+            name: backward(tapes[name], grad_outs[name])
             for name in nets})
 
         q_tot, tape = mix_forward_batch(bundle.mixer, qs, state)
