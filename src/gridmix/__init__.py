@@ -1,6 +1,6 @@
 """Multi-agent grid pathfinding with a from-scratch QMIX/VDN/IQL learner."""
 
-from .grid_world import (Action, AgentState, EnvConfig, EnvState, GenerationFailed,
+from .grid_world import (Action, AgentState, EnvBlock, EnvConfig, EnvState, GenerationFailed,
                          GridMap, InvalidActionCount, StepOutcome,
                          bfs_distance_field, env_from_record, generate,
                          map_hash, map_record, reward_for)

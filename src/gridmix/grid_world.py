@@ -12,11 +12,10 @@ map generation.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -165,6 +164,55 @@ def bfs_distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
     return np.array(dist, dtype=np.float64).reshape(size, size)
 
 
+def bfs_distance_fields(blocked: np.ndarray, goals: np.ndarray) -> np.ndarray:
+    """Every goal's BFS distance field at once: (M, k, S, S) for ``blocked``
+    (M, S, S) and ``goals`` (M, k, 2), each equal to bfs_distance_field of
+    that map and goal.
+
+    One frontier dilation steps all M * k searches together, one BFS ring
+    per step, until no search reaches a new cell. It runs on flat planes
+    with a blocked border, where the four neighbours are shifts by 1 and W.
+    """
+    n_maps, k = goals.shape[:2]
+    size = blocked.shape[-1]
+    width = size + 2
+    free = np.zeros((n_maps, 1, width, width), dtype=bool)
+    free[:, 0, 1:-1, 1:-1] = ~np.asarray(blocked, dtype=bool)
+    free = free.reshape(n_maps, 1, -1)
+    seen = np.zeros((n_maps, k, width * width), dtype=bool)
+    seen[np.arange(n_maps)[:, None], np.arange(k),
+         (goals[..., 0] + 1) * width + goals[..., 1] + 1] = True
+    dist = np.where(seen, 0.0, np.inf)
+    frontier = seen.copy()
+    grown = np.empty_like(seen)
+    d = 0.0
+    while frontier.any():
+        d += 1.0
+        grown[:] = False
+        grown[..., width:] |= frontier[..., :-width]
+        grown[..., :-width] |= frontier[..., width:]
+        grown[..., 1:] |= frontier[..., :-1]
+        grown[..., :-1] |= frontier[..., 1:]
+        grown &= free
+        np.greater(grown, seen, out=frontier)
+        seen |= frontier
+        dist[frontier] = d
+    return dist.reshape(n_maps, k, width, width)[..., 1:-1, 1:-1]
+
+
+def _check_agents(blocked: np.ndarray, starts, goals, start_dists) -> None:
+    """Starts and goals on free cells, distinct starts, reachable goals."""
+    seen: set[tuple[int, int]] = set()
+    for start, goal, d in zip(starts, goals, start_dists):
+        if blocked[tuple(start)] or blocked[tuple(goal)]:
+            raise ValueError("agent start/goal on a blocked cell")
+        if tuple(start) in seen:
+            raise ValueError("two agents share a start cell")
+        seen.add(tuple(start))
+        if not np.isfinite(d):
+            raise ValueError("agent goal is unreachable from its start")
+
+
 def reward_for(agent: AgentState, old_pos: tuple[int, int], new_pos: tuple[int, int]) -> float:
     """Reward for one resolved agent transition.
 
@@ -199,17 +247,10 @@ class EnvState:
         self._build_caches()
 
     def _validate(self) -> None:
-        size = self.grid.size
-        seen: set[tuple[int, int]] = set()
-        for ag in self.agents:
-            if self.grid.blocked[ag.pos] or self.grid.blocked[ag.goal]:
-                raise ValueError("agent start/goal on a blocked cell")
-            if ag.pos in seen:
-                raise ValueError("two agents share a start cell")
-            seen.add(ag.pos)
-            if not np.isfinite(ag.dist_field[ag.pos]):
-                raise ValueError("agent goal is unreachable from its start")
-        if len(self.agents) < 1 or size != self.config.size:
+        _check_agents(self.grid.blocked, [ag.pos for ag in self.agents],
+                      [ag.goal for ag in self.agents],
+                      [ag.dist_field[ag.pos] for ag in self.agents])
+        if len(self.agents) < 1 or self.grid.size != self.config.size:
             raise ValueError("inconsistent environment state")
 
     def _build_caches(self) -> None:
@@ -234,14 +275,12 @@ class EnvState:
         self._stack, self._row = stack, row
         self._pad_obstacles, self._pad_agents, self._pad_goals = stack[row]
 
-    def clone(self) -> "EnvState":
-        """An independent copy of the mutable state; the grid and the
-        agents' distance fields are shared, not copied."""
-        twin = copy.copy(self)
-        twin.agents = [replace(ag) for ag in self.agents]
-        twin._occ = bytearray(self._occ)
-        twin._home(self._stack[self._row][None].copy(), 0)
-        return twin
+    def move_planes(self, stack: np.ndarray, row: int) -> None:
+        """Copy the padded obstacle, agent and goal planes into ``stack[row]``
+        and keep them there: the env's caches become views of that row, so
+        stepping the env keeps it current."""
+        stack[row] = self._stack[self._row]
+        self._home(stack, row)
 
     @property
     def n_agents(self) -> int:
@@ -337,27 +376,11 @@ class EnvState:
         return g
 
 
-def stack_planes(envs: list[EnvState]) -> None:
-    """Move the envs' padded observation planes into one (E, 3, pad, pad) array.
-
-    Row e holds env e's obstacle, agent and goal planes, and that env's
-    caches become views of the row, so stepping it keeps the stack
-    current. Every env needs the same size and view radius.
-    """
-    shapes = {env._stack.shape[1:] for env in envs}
-    if len(shapes) != 1:
-        raise ValueError(f"envs have different padded plane shapes {sorted(shapes)}")
-    stack = np.empty((len(envs),) + shapes.pop(), dtype=np.float64)
-    for e, env in enumerate(envs):
-        stack[e] = env._stack[env._row]
-        env._home(stack, e)
-
-
 def shared_planes(envs: list[EnvState]) -> tuple[np.ndarray, list[int]]:
     """One array holding every env's padded planes, and each env's row in it.
 
-    That is the envs' common stack when stack_planes() built one for them
-    (always so for a single env); otherwise a stacked copy.
+    That is the envs' common stack when move_planes() homed them all in
+    one (always so for a single env); otherwise a stacked copy.
     """
     stack = envs[0]._stack
     if all(env._stack is stack for env in envs):
@@ -409,18 +432,20 @@ def generate(config: EnvConfig) -> EnvState:
 
 # --- map (de)serialization -------------------------------------------------
 
+def _record(size: int, blocked: np.ndarray, starts, goals, seed: int) -> dict:
+    return {
+        "size": int(size),
+        "blocked": [[int(r), int(c)] for r, c in np.argwhere(blocked)],
+        "agents": [{"start": [int(s[0]), int(s[1])], "goal": [int(g[0]), int(g[1])]}
+                   for s, g in zip(starts, goals)],
+        "seed": int(seed),
+    }
+
+
 def map_record(state: EnvState) -> dict:
     """JSON-serializable record of the static episode setup."""
-    return {
-        "size": state.grid.size,
-        "blocked": [[int(r), int(c)] for r, c in np.argwhere(state.grid.blocked)],
-        "agents": [
-            {"start": [int(ag.pos[0]), int(ag.pos[1])],
-             "goal": [int(ag.goal[0]), int(ag.goal[1])]}
-            for ag in state.agents
-        ],
-        "seed": int(state.config.seed),
-    }
+    return _record(state.grid.size, state.grid.blocked, [ag.pos for ag in state.agents],
+                   [ag.goal for ag in state.agents], state.config.seed)
 
 
 def map_hash(record: dict) -> str:
@@ -433,9 +458,11 @@ def map_hash(record: dict) -> str:
     return hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).hexdigest()
 
 
-def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
-    """Rebuild a playable EnvState from a map record; a blocked cell, start
-    or goal outside the grid raises ValueError naming the field."""
+def _parse_record(record: dict, obs_radius: int, horizon: int
+                  ) -> tuple[EnvConfig, np.ndarray, list, list]:
+    """A map record's config, blocked matrix, starts and goals; a blocked
+    cell, start or goal outside the grid, or a blocked goal, raises
+    ValueError naming it."""
     size = int(record["size"])
 
     def cell(value, field: str) -> tuple[int, int]:
@@ -447,20 +474,152 @@ def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
     blocked = np.zeros((size, size), dtype=bool)
     for value in record["blocked"]:
         blocked[cell(value, "blocked cell")] = True
-    grid = GridMap(size, blocked)
-    agents = []
+    starts, goals = [], []
     for i, a in enumerate(record["agents"]):
-        start = cell(a["start"], f"agent {i} start")
-        goal = cell(a["goal"], f"agent {i} goal")
-        agents.append(AgentState(start, goal, True, bfs_distance_field(grid, goal)))
-    n_blocked = int(blocked.sum())
+        starts.append(cell(a["start"], f"agent {i} start"))
+        goals.append(cell(a["goal"], f"agent {i} goal"))
+        if blocked[goals[-1]]:
+            raise ValueError("goal cell is blocked")
     config = EnvConfig(
         size=size,
-        density=n_blocked / (size * size),
-        n_agents=len(agents),
+        density=int(blocked.sum()) / (size * size),
+        n_agents=len(starts),
         obs_radius=obs_radius,
         horizon=horizon,
         goal_dist=None,
         seed=int(record.get("seed", 0)),
     )
+    return config, blocked, starts, goals
+
+
+def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
+    """Rebuild a playable EnvState from a map record; a blocked cell, start
+    or goal outside the grid raises ValueError naming the field."""
+    config, blocked, starts, goals = _parse_record(record, obs_radius, horizon)
+    grid = GridMap(config.size, blocked)
+    agents = [AgentState(start, goal, True, bfs_distance_field(grid, goal))
+              for start, goal in zip(starts, goals)]
     return EnvState(grid, agents, config)
+
+
+# --- lockstep blocks ----------------------------------------------------------
+
+class EnvBlock:
+    """Episodes on a list of map records, each record played ``repeats``
+    times, held as arrays and stepped together.
+
+    Row ``e`` plays record ``e // repeats``. Every record needs the same
+    size and agent count. Per row the block holds padded planes like an
+    EnvState's (obstacles with out-of-grid cells 1, active agents, and a
+    count of active agents' goals; ``planes[e]`` is (3, P, P) with P = size
+    + 2 * obs_radius), and per agent its cell and goal cell as flat indices
+    into a padded plane, and its active flag. ``dist[m, i]`` is agent i's
+    flat padded BFS distance field on record m, infinite off the grid; a
+    record's repeats share it. All rows share one clock ``t``; a row whose
+    agents are all inactive has finished and is left alone by step().
+    """
+
+    def __init__(self, records: list[dict], repeats: int, obs_radius: int, horizon: int):
+        parsed = [_parse_record(record, obs_radius, horizon) for record in records]
+        blocked = np.array([p[1] for p in parsed])
+        starts = np.array([p[2] for p in parsed], dtype=np.intp).reshape(len(parsed), -1, 2)
+        goals = np.array([p[3] for p in parsed], dtype=np.intp).reshape(starts.shape)
+        fields = bfs_distance_fields(blocked, goals)
+        n_maps, n, size = len(parsed), starts.shape[1], blocked.shape[1]
+        maps, agents = np.arange(n_maps)[:, None], np.arange(n)
+        for m, (_, _, s, g) in enumerate(parsed):
+            _check_agents(blocked[m], s, g, fields[m, agents, starts[m, :, 0], starts[m, :, 1]])
+        self.size, self.obs_radius, self.horizon = size, obs_radius, horizon
+        self._setups = [(s, g, config.seed) for config, _, s, g in parsed]
+        self.t = 0
+        rad = obs_radius
+        pad = size + 2 * rad
+        self.map_of = np.repeat(np.arange(n_maps), repeats)
+        self.dist = np.full((n_maps, n, pad, pad), np.inf)
+        self.dist[:, :, rad:rad + size, rad:rad + size] = fields
+        self.dist = self.dist.reshape(n_maps, n, pad * pad)
+        start_cells = (starts[..., 0] + rad) * pad + starts[..., 1] + rad
+        goal_cells = (goals[..., 0] + rad) * pad + goals[..., 1] + rad
+        # goal counts fit the smallest unsigned type that holds n
+        planes = np.zeros((n_maps, 3, pad * pad), dtype=np.min_scalar_type(n))
+        planes[:, 0] = 1
+        planes.reshape(n_maps, 3, pad, pad)[:, 0, rad:rad + size, rad:rad + size] = blocked
+        planes[maps, 1, start_cells] = 1
+        np.add.at(planes, (maps, 2, goal_cells), 1)
+        self.planes = np.repeat(planes, repeats, axis=0).reshape(-1, 3, pad, pad)
+        self.cells = np.repeat(start_cells, repeats, axis=0)
+        self.goal_cells = np.repeat(goal_cells, repeats, axis=0)
+        self.active = np.ones(self.cells.shape, dtype=bool)
+        # flat padded index step of each action code
+        self._moves = np.array([dr * pad + dc for dr, dc in ACTION_DELTAS], dtype=np.intp)
+
+    @property
+    def episode_over(self) -> bool:
+        """True when every row has finished."""
+        return self.t >= self.horizon or not self.active.any()
+
+    def positions(self, rows=slice(None)) -> np.ndarray:
+        """Grid (row, col) of every agent of ``rows``, (E, n, 2) for all
+        rows or (n, 2) for one; a finished agent keeps its last cell."""
+        pad = self.planes.shape[-1]
+        return np.stack(np.divmod(self.cells[rows], pad), axis=-1) - self.obs_radius
+
+    def record(self, e: int) -> dict:
+        """The map record of row ``e``, as map_record() writes it."""
+        rad, size = self.obs_radius, self.size
+        return _record(size, self.planes[e, 0, rad:rad + size, rad:rad + size] > 0,
+                       *self._setups[self.map_of[e]])
+
+    def step(self, actions) -> StepOutcome:
+        """Resolve one joint step of every row that has not finished.
+
+        ``actions`` is (E, n). The rules are EnvState.step's, row by row:
+        agents resolve in ascending index, each one over every row at once,
+        and an agent entering its goal leaves the map before the next index
+        moves. The outcome's fields are (E, n) arrays, and ``episode_over``
+        is (E,): which rows have finished.
+        """
+        actions = np.asarray(actions)
+        if actions.shape != self.active.shape:
+            raise InvalidActionCount(f"expected actions of shape {self.active.shape}, "
+                                     f"got {actions.shape}")
+        if self.episode_over:
+            raise RuntimeError("step() called on a finished episode")
+        n_rows, n = self.active.shape
+        flat = self.planes.reshape(n_rows, 3, -1)
+        obstacles, occupied, goal_count = flat[:, 0], flat[:, 1], flat[:, 2]
+        rewards = np.zeros((n_rows, n), dtype=np.float64)
+        done = np.zeros((n_rows, n), dtype=bool)
+        moved = np.zeros((n_rows, n), dtype=bool)
+        for i in range(n):
+            e = np.flatnonzero(self.active[:, i])
+            if not len(e):
+                continue
+            rewards[e, i] = REWARD_STAY
+            old = self.cells[e, i]
+            new = old + self._moves[actions[e, i]]
+            # a stay targets the agent's own, occupied cell and fails like a
+            # blocked move; off-grid cells are obstacles in the padding
+            ok = (obstacles[e, new] == 0) & (occupied[e, new] == 0)
+            e, old, new = e[ok], old[ok], new[ok]
+            m = self.map_of[e]
+            d_old, d_new = self.dist[m, i, old], self.dist[m, i, new]
+            assert np.all(np.abs(d_new - d_old) == 1.0), \
+                "successful move must change BFS distance by 1"
+            rewards[e, i] = np.where(d_new < d_old, REWARD_TOWARD, REWARD_AWAY)
+            moved[e, i] = True
+            occupied[e, old] = 0
+            self.cells[e, i] = new
+            arrived = new == self.goal_cells[e, i]
+            done[e[arrived], i] = True
+            self.active[e[arrived], i] = False
+            goal_count[e[arrived], new[arrived]] -= 1
+            occupied[e[~arrived], new[~arrived]] = 1
+        self.t += 1
+        if self.t >= self.horizon:
+            for i in range(n):  # truncated, not successful
+                e = np.flatnonzero(self.active[:, i])
+                occupied[e, self.cells[e, i]] = 0
+                goal_count[e, self.goal_cells[e, i]] -= 1
+                self.active[e, i] = False
+        return StepOutcome(rewards, done, ~self.active.any(axis=1), moved)

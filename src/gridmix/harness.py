@@ -15,11 +15,13 @@ regardless of how many instances run.
 evaluate() rolls a greedy policy (or a baseline) over every map of a set
 with lockstep rollouts. The set plays in blocks: a block is a run of
 consecutive maps, in map-index order, times all their repeats, capped at
-EVAL_BLOCK_ROWS agents. A map's repeats share its grid and BFS fields.
-Every episode of a block advances together: per timestep one observation
-gather and one agent-net forward cover every active agent of every live
-episode, and finished episodes drop out. A baseline policy gets the same
-env lists through the same interface.
+EVAL_BLOCK_ROWS agents, built as one grid_world.EnvBlock straight from the
+map records. A map's repeats share its BFS fields. Every episode of a
+block advances together: per timestep one observation gather, one
+agent-net forward and one array step cover every active agent of every
+live episode, and finished episodes stand still. A baseline policy gets
+the same block through the same interface. Training steps its few envs
+one by one with EnvState.step.
 """
 from __future__ import annotations
 
@@ -34,8 +36,8 @@ import numpy as np
 from . import qmix_core
 from .baselines import play_episode
 from .dense_net import forward
-from .grid_world import (Action, EnvConfig, EnvState, env_from_record, generate,
-                         map_hash, map_record, stack_planes)
+from .grid_world import (Action, EnvBlock, EnvConfig, EnvState, env_from_record,
+                         generate, map_hash, map_record)
 from .mapsets import gen_mapset, load_mapset, mapset_hash, sample_giveway_record
 from .observation import obs_dim, observe
 from .qmix_core import MixerBundle, load_bundle, save_bundle
@@ -173,13 +175,13 @@ class TrainResult:
 
 class GreedyNetPolicy:
     """Greedy (eps = 0) action selection from a trained bundle: one window
-    gather and one agent-net forward over every active agent of the envs."""
+    gather and one agent-net forward over every active agent of a block."""
 
     def __init__(self, bundle: MixerBundle):
         self.bundle = bundle
 
-    def actions(self, envs: list[EnvState], keys) -> np.ndarray:
-        obs, active = observe(envs)
+    def actions(self, block: EnvBlock, keys) -> np.ndarray:
+        obs, active = observe(block)
         q, _ = forward(self.bundle.agent_net, obs.reshape(len(obs), -1))
         acts = np.full(active.shape, int(Action.STAY), dtype=np.int64)
         acts[active] = q.argmax(axis=1)
@@ -223,8 +225,8 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     MixerBundle, a checkpoint path, or any policy object; map sets may be
     given as a path as well. Maps play in blocks of consecutive maps with
     all their repeats, at most EVAL_BLOCK_ROWS agents per block (one map
-    when a single map has more), and every episode of a block steps in
-    lockstep. ``on_step`` is passed on to play_episode.
+    when a single map has more); each block is one EnvBlock, whose
+    episodes step in lockstep. ``on_step`` is passed on to play_episode.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -243,14 +245,12 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     per_map = []
     block_maps = max(1, EVAL_BLOCK_ROWS // (cfg["n_agents"] * repeats))
     for first in range(0, len(maps), block_maps):
-        envs, keys = [], []
-        for idx in range(first, min(first + block_maps, len(maps))):
-            env = env_from_record(maps[idx], cfg["obs_radius"], cfg["horizon"])
-            envs += [env] + [env.clone() for _ in range(repeats - 1)]
-            keys += [(idx, rep) for rep in range(repeats)]
-        stack_planes(envs)
-        success = play_episode(envs, policy, keys, on_step).mean(axis=1)
-        for k in range(0, len(envs), repeats):
+        indices = range(first, min(first + block_maps, len(maps)))
+        block = EnvBlock([maps[idx] for idx in indices], repeats, cfg["obs_radius"],
+                         cfg["horizon"])
+        keys = [(idx, rep) for idx in indices for rep in range(repeats)]
+        success = play_episode(block, policy, keys, on_step).mean(axis=1)
+        for k in range(0, len(keys), repeats):
             total = 0.0
             for value in success[k:k + repeats]:
                 total += float(value)
@@ -274,15 +274,24 @@ def _stream_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
 
 
 class _EnvSlot:
-    """One training environment plus its private rng streams."""
+    """One training environment plus its private rng streams.
 
-    def __init__(self, config: RunConfig, index: int, eval_hashes: set[str]):
+    The env's padded planes live in one of two rows of ``planes``, a stack
+    that every slot shares: ``index`` and ``index + n_envs``. A reset puts
+    the new env in the other row, so the finished env's final planes stay
+    readable until the next window gather.
+    """
+
+    def __init__(self, config: RunConfig, index: int, eval_hashes: set[str],
+                 planes: np.ndarray):
         self.config = config
         self.map_rng = _stream_rng(config.seed, _TAG_MAPS, index)
         self.explore_rng = _stream_rng(config.seed, _TAG_EXPLORE, index)
         self.eval_hashes = eval_hashes
         self.env: EnvState | None = None
         self.seen_hashes: set[str] = set()
+        self.planes = planes
+        self.row = index + config.n_envs
 
     def reset(self) -> None:
         # resample until the drawn map is not part of the evaluation set
@@ -304,6 +313,8 @@ class _EnvSlot:
                 f"{MAX_RESET_DRAWS} training map draws in a row were all in the "
                 "evaluation set: the evaluation set covers the training maps")
         self.seen_hashes.add(h)
+        self.row = (self.row + self.config.n_envs) % len(self.planes)
+        env.move_planes(self.planes, self.row)
         self.env = env
 
 
@@ -341,7 +352,11 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
     buffer = Buffer(config.buffer_capacity, config.n_agents, obs_d, state_d,
                     seed=int(_stream_rng(config.seed, _TAG_BUFFER).integers(2**63)))
 
-    slots = [_EnvSlot(config, i, eval_hashes) for i in range(config.n_envs)]
+    # every slot's env keeps its padded planes in this stack, so the window
+    # gather reads them in place
+    pad = config.size + 2 * config.obs_radius
+    planes = np.zeros((2 * config.n_envs, 3, pad, pad))
+    slots = [_EnvSlot(config, i, eval_hashes, planes) for i in range(config.n_envs)]
     for slot in slots:
         slot.reset()
 

@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 
-from .baselines import GreedyBfsPolicy, play_episode
+from .baselines import greedy_moves
 from .grid_world import (EnvConfig, GenerationFailed, env_from_record, generate,
                          map_hash, map_record)
 
@@ -55,12 +55,24 @@ def save_mapset(mapset: dict, path: str) -> None:
         json.dump(mapset, fh)
 
 
+# config header keys that evaluation reads
+_CONFIG_KEYS = ("size", "n_agents", "obs_radius", "horizon")
+
+
 def load_mapset(path: str) -> dict:
-    """The map set at ``path``; a record missing a key raises ValueError naming it."""
+    """The map set at ``path``; a missing config key or record key raises
+    ValueError naming it."""
     with open(path) as fh:
         mapset = json.load(fh)
+    if not isinstance(mapset, dict):
+        raise ValueError(f"map set file {path} must hold a JSON object, "
+                         f"not {type(mapset).__name__}")
     if mapset.get("format_version") != MAPSET_VERSION:
         raise ValueError(f"unsupported mapset version {mapset.get('format_version')}")
+    config = mapset.get("config")
+    missing = [key for key in _CONFIG_KEYS if not isinstance(config, dict) or key not in config]
+    if missing:
+        raise ValueError(f"map set config has no {', '.join(missing)}")
     for i, record in enumerate(mapset["maps"]):
         missing = [key for key in ("size", "blocked", "agents") if key not in record]
         missing += [f"agent {j} {key}" for j, agent in enumerate(record.get("agents", ()))
@@ -73,7 +85,12 @@ def load_mapset(path: str) -> dict:
 def greedy_rollout_fails(record: dict, obs_radius: int, horizon: int) -> bool:
     """True when the simultaneous greedy shortest-path rollout strands an agent."""
     env = env_from_record(record, obs_radius=obs_radius, horizon=horizon)
-    return not play_episode([env], GreedyBfsPolicy(), [(0, 0)]).all()
+    moves = greedy_moves([ag.dist_field for ag in env.agents]).tolist()
+    reached = np.zeros(env.n_agents, dtype=bool)
+    while not env.episode_over:
+        reached |= env.step([moves[i][ag.pos[0]][ag.pos[1]] if ag.active else 0
+                             for i, ag in enumerate(env.agents)]).done
+    return not reached.all()
 
 
 MIN_CORRIDOR_LEN = 4  # BFS distance along the corridor; shorter maps are trivial

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .grid_world import EnvState, shared_planes
+from .grid_world import EnvBlock, EnvState, shared_planes
 
 
 def obs_dim(obs_radius: int) -> int:
@@ -28,40 +28,54 @@ def obs_dim(obs_radius: int) -> int:
     return 4 * width * width
 
 
-def observe(envs: list[EnvState], out: np.ndarray | None = None
+def observe(envs: EnvBlock | list[EnvState], out: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
     """Observe every active agent of every env with one window gather.
 
-    Returns ``(obs, active)``. ``active`` is the (E, n) mask of active
-    agents; ``obs`` is (K, 4, 2R+1, 2R+1) with one window per True entry
-    of ``active``, in row-major order of the mask. Flattening a window
-    row-major gives the channel blocks in declared order. ``out`` may
-    supply a float64 array with at least K such rows; ``obs`` is then its
-    leading K rows. The envs need one size and view radius; when
-    stack_planes() has put their planes in one stack, no plane is copied.
+    ``envs`` is an EnvBlock or a list of EnvStates. Returns ``(obs,
+    active)``. ``active`` is the (E, n) mask of active agents; ``obs`` is
+    (K, 4, 2R+1, 2R+1) with one window per True entry of ``active``, in
+    row-major order of the mask. Flattening a window row-major gives the
+    channel blocks in declared order. ``out`` may supply a float64 array
+    with at least K such rows; ``obs`` is then its leading K rows. A block
+    is read straight from its arrays. A list needs one size and view
+    radius; when move_planes() has put its planes in one stack, no plane
+    is copied.
     """
-    stack, rows = shared_planes(envs)
-    rad = envs[0].config.obs_radius
+    if isinstance(envs, EnvBlock):
+        stack, active, rad = envs.planes, envs.active, envs.obs_radius
+        b, i = np.nonzero(active)
+        cells = envs.cells[b, i]
+        # flat padded cell (r + R) * P + c + R back to grid (r, c)
+        corner = rad * stack.shape[-1] + rad
+        r, c = np.divmod(cells - corner, stack.shape[-1])
+        gr, gc = np.divmod(envs.goal_cells[b, i] - corner, stack.shape[-1])
+        dists = envs.dist[envs.map_of[b], i, cells]
+    else:
+        stack, rows = shared_planes(envs)
+        rad = envs[0].config.obs_radius
+        flags, picks, dists = [], [], []
+        for env, row in zip(envs, rows):
+            for ag in env.agents:
+                flags.append(ag.active)
+                if ag.active:
+                    picks += (row, *ag.pos, *ag.goal)
+                    dists.append(ag.dist_field.item(ag.pos))
+        active = np.array(flags, dtype=bool).reshape(len(envs), -1)
+        b, r, c, gr, gc = np.array(picks, dtype=np.intp).reshape(-1, 5).T
+        dists = np.array(dists, dtype=np.float64)
     width = 2 * rad + 1
-    flags, picks, dists = [], [], []
-    for env, row in zip(envs, rows):
-        for ag in env.agents:
-            flags.append(ag.active)
-            if ag.active:
-                picks += (row, *ag.pos, *ag.goal)
-                dists.append(ag.dist_field.item(ag.pos))
-    active = np.array(flags, dtype=bool).reshape(len(envs), -1)
-    b, r, c, gr, gc = np.array(picks, dtype=np.intp).reshape(-1, 5).T
     k = np.arange(len(dists))
-    # windows[e, ch, r, c] is env e's channel ch window centred on grid cell
-    # (r, c); sliding_window_view gives the same view at several times the
-    # cost, which counts in the training loop's small gathers
+    # windows[e, ch, r, c] is env e's channel ch window whose top-left is
+    # padded cell (r, c), so centred on grid cell (r, c); sliding_window_view
+    # gives the same view at several times the cost, which counts in the
+    # training loop's small gathers
     n_envs, n_ch, pad, _ = stack.shape
     windows = as_strided(stack, (n_envs, n_ch, pad - 2 * rad, pad - 2 * rad, width, width),
                          stack.strides + stack.strides[2:], writeable=False)
     obs = np.empty((len(dists), 4, width, width)) if out is None else out[:len(dists)]
     obs[:, :3] = windows[b, :, r, c]
-    obs[k, 1, rad, rad] = 1.0 / np.array(dists, dtype=np.float64)
+    obs[k, 1, rad, rad] = 1.0 / dists
     # the goal plane counts active agents' goals: drop the agent's own goal,
     # so that its cell stays marked only when another agent's goal is there
     dr, dc = gr - r, gc - c

@@ -380,6 +380,8 @@ def bundle_to_payload(bundle: MixerBundle) -> dict:
 
 def bundle_from_payload(payload: dict) -> MixerBundle:
     """Bundle with theta restored bit-exactly and targets synced to it."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a checkpoint must hold a JSON object, not {type(payload).__name__}")
     version = payload.get("format_version")
     if version != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {version}; this build reads "

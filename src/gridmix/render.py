@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import string
 
-from .grid_world import EnvState, map_record
+from .grid_world import EnvBlock
 
 LOG_VERSION = 1
 
@@ -28,16 +28,16 @@ class EpisodeLogs(dict):
     """A play_episode ``on_step`` callback that logs repeat 0 of every map,
     keyed by map index: one frame per state the episode saw."""
 
-    def __call__(self, env: EnvState, key) -> None:
+    def __call__(self, block: EnvBlock, e: int, key) -> None:
         index, repeat = key
         if repeat:
             return
-        if env.t == 0:
-            self[index] = {"format_version": LOG_VERSION, "map": map_record(env),
-                           "obs_radius": env.config.obs_radius, "frames": []}
+        if block.t == 0:
+            self[index] = {"format_version": LOG_VERSION, "map": block.record(e),
+                           "obs_radius": block.obs_radius, "frames": []}
         self[index]["frames"].append({
-            "positions": [[int(ag.pos[0]), int(ag.pos[1])] for ag in env.agents],
-            "active": [bool(ag.active) for ag in env.agents],
+            "positions": block.positions(e).tolist(),
+            "active": block.active[e].tolist(),
         })
 
 

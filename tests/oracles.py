@@ -5,7 +5,8 @@ plain dicts and tuples and recomputes every BFS field from scratch each
 step, the goal projection is a plain clamp and the border search enumerates
 window border cells directly, the window reference reads only public env
 state cell by cell, and the gradient checker compares against central
-finite differences.
+finite differences. The greedy rule reads each agent's public field one
+neighbour at a time.
 """
 from __future__ import annotations
 
@@ -152,6 +153,23 @@ def reference_window(env, i):
     gc = min(max(me.goal[1] - me.pos[1], -radius), radius)
     window[3, gr + radius, gc + radius] = 1.0
     return window
+
+
+def greedy_actions(env):
+    """The greedy baseline's rule per agent, from public env state: the
+    neighbour with the smallest own BFS distance, ties to the lowest action
+    code, Stay when no in-grid neighbour has a finite distance; inactive
+    agents Stay."""
+    size = len(env.grid.blocked)
+    acts = []
+    for ag in env.agents:
+        best_d, best_a = np.inf, 0
+        for code in (1, 2, 3, 4):
+            r, c = ag.pos[0] + DELTAS[code][0], ag.pos[1] + DELTAS[code][1]
+            if ag.active and 0 <= r < size and 0 <= c < size and ag.dist_field[r, c] < best_d:
+                best_d, best_a = ag.dist_field[r, c], code
+        acts.append(best_a)
+    return acts
 
 
 # activations with a non-differentiable point at 0

@@ -128,7 +128,8 @@ def _write(path, text):
 @pytest.mark.parametrize("case", [
     "missing_ckpt", "missing_maps", "cell_outside_grid",
     "map_without_goal", "map_without_size", "map_without_blocked",
-    "ckpt_without_mode", "ckpt_without_theta",
+    "ckpt_without_mode", "ckpt_without_theta", "ckpt_not_object",
+    "maps_config_without_horizon", "maps_config_without_size", "maps_not_object",
     "train_truncated", "gen-maps_truncated", "bench_truncated",
     "train_not_object", "gen-maps_not_object", "bench_not_object",
     "train_sets_train_every", "train_sets_eval_repeats", "train_sets_eval_map_kind",
@@ -155,6 +156,18 @@ def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
         del (record["agents"][0] if key == "goal" else record)[key]
         save_mapset(mapset, maps_path)
         argv = ["eval", "--baseline", "random", "--maps", maps_path]
+    elif case.startswith("maps_"):
+        with open(maps_path) as fh:
+            mapset = json.load(fh)
+        if case == "maps_not_object":
+            mapset = [mapset]
+        else:
+            del mapset["config"][case[len("maps_config_without_"):]]
+        _write(maps_path, json.dumps(mapset))
+        argv = ["eval", "--baseline", "random", "--maps", maps_path]
+    elif case == "ckpt_not_object":
+        ckpt = _write(str(tmp_path / "checkpoint.json"), "[1, 2]")
+        argv = ["eval", "--ckpt", ckpt, "--maps", maps_path]
     elif case.startswith("ckpt_without_"):
         payload = bundle_to_payload(MixerBundle(n_agents=1, obs_dim=obs_dim(5),
                                                 state_dim=3 * 8 * 8, mode="iql"))

@@ -8,7 +8,7 @@ import pytest
 
 from gridmix import harness
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy, play_episode
-from gridmix.grid_world import EnvConfig, GenerationFailed, env_from_record, map_hash
+from gridmix.grid_world import EnvBlock, EnvConfig, GenerationFailed, env_from_record, map_hash
 from gridmix.harness import (ConfigInvalid, RunConfig, TopologyMismatch,
                              bench_env_stepping, bench_train_loop, epsilon_at,
                              evaluate, train)
@@ -19,7 +19,7 @@ from gridmix.qmix_core import MixerBundle, load_bundle, select_actions
 from gridmix.render import (EpisodeLogs, MalformedLog, render_episode, render_frame,
                             render_map)
 
-from oracles import reference_window
+from oracles import greedy_actions, reference_window
 
 
 def env_config(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
@@ -193,13 +193,13 @@ class TestBaselines:
     def test_greedy_solo_reaches_goal_in_d_steps(self):
         record = {"size": 6, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [3, 4]}], "seed": 0}
-        env = env_from_record(record, obs_radius=2, horizon=10)
+        block = EnvBlock([record], 1, obs_radius=2, horizon=10)
         policy = GreedyBfsPolicy()
         steps = 0
-        while not env.episode_over:
-            out = env.step(policy.actions([env], [(0, 0)])[0])
+        while not block.episode_over:
+            out = block.step(policy.actions(block, [(0, 0)]))
             steps += 1
-        assert out.done[0]
+        assert out.done[0, 0]
         assert steps == 7  # exactly the BFS distance
 
     def test_greedy_fails_on_giveway_maps(self):
@@ -327,8 +327,7 @@ class TestLockstepEvaluate:
         mapset = random16_set(20)
         policy = GreedyBfsPolicy()
         report = evaluate(policy, mapset, repeats=2)
-        expected, _ = serial_per_map(
-            lambda env, key: policy.actions([env], [key])[0], mapset, 2)
+        expected, _ = serial_per_map(lambda env, key: greedy_actions(env), mapset, 2)
         assert report.per_map == expected
 
     def test_goal_seeker_episodes_of_different_lengths(self):
@@ -407,9 +406,9 @@ class TestRender:
     def test_episode_log_frames(self):
         record = {"size": 3, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [0, 2]}], "seed": 0}
-        env = env_from_record(record, obs_radius=1, horizon=6)
+        block = EnvBlock([record], 1, obs_radius=1, horizon=6)
         logs = EpisodeLogs()
-        play_episode([env], GreedyBfsPolicy(), [(0, 0)], on_step=logs)
+        play_episode(block, GreedyBfsPolicy(), [(0, 0)], on_step=logs)
         log = logs[0]
         assert len(log["frames"]) == 3  # two moves, plus the initial frame
         frames = render_episode(log)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmix.grid_world import Action, EnvConfig, env_from_record, generate, stack_planes
+from gridmix.grid_world import Action, EnvConfig, env_from_record, generate
 from gridmix.observation import obs_dim, observe
 
 from oracles import nearest_border_cells, project_goal, reference_window
@@ -210,7 +210,9 @@ class TestObserveEnvs:
             radius = int(rng.integers(1, min(size, 4) + 1))
             envs = [random_env(rng, size, n, radius) for _ in range(int(rng.integers(1, 6)))]
             if stacked:
-                stack_planes(envs)
+                stack = np.zeros((len(envs),) + envs[0]._stack.shape[1:])
+                for row, env in enumerate(envs):
+                    env.move_planes(stack, row)
             for env in envs:
                 for _ in range(int(rng.integers(0, env.config.horizon + 1))):
                     if env.episode_over:

@@ -6,8 +6,11 @@ column, and the sha256 of the checkpoint's content: what ``load_bundle``
 returns, as its header fields in canonical JSON followed by the bytes of
 ``theta``. That digest does not depend on how the file encodes them, so
 it also holds across a change of checkpoint format. Each evaluation run prints
-the sha256 of ``json.dumps([per_map, mean])`` of one evaluate() call. Run
-it against two source trees and compare:
+the sha256 of ``json.dumps([per_map, mean])`` of one evaluate() call. The
+last line runs ``gridmix eval --baseline random --save-logs DIR`` on a
+seeded 8x8 set and prints the sha256 of every file it writes there, names
+and bytes in name order, so it checks the episode logs as well. Run it
+against two source trees and compare:
 
     PYTHONPATH=src python3 tools/determinism_digest.py > after.txt
     PYTHONPATH=/path/to/parent/src python3 tools/determinism_digest.py > before.txt
@@ -15,11 +18,12 @@ it against two source trees and compare:
 
 Use the same BLAS thread setting for both trees. ``--only NAME``
 (repeatable) limits the runs; the four trainings take a few minutes in all
-on one core, the three evaluations a few seconds.
+on one core, the evaluations a few seconds.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -30,8 +34,10 @@ import tempfile
 from gridmix import (EnvConfig, GreedyBfsPolicy, MixerBundle, RandomPolicy, RunConfig,
                      evaluate, gen_mapset, load_bundle, load_mapset, obs_dim, save_mapset,
                      train)
+from gridmix.cli import main as cli_main
 
 GIVEWAY_EVAL = "giveway70.json"
+LOGS_RUN = "eval-logs-random8"
 
 
 def _giveway(mode: str, maps_path: str) -> RunConfig:
@@ -74,6 +80,25 @@ def evaluations(workdir: str) -> dict:
     }
 
 
+def logs_digest(workdir: str) -> str:
+    """sha256 of the files that ``gridmix eval --save-logs`` writes."""
+    maps_path = os.path.join(workdir, "random8.json")
+    save_mapset(gen_mapset("random", 30, EnvConfig(
+        size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16, seed=0), seed=77),
+        maps_path)
+    logs = os.path.join(workdir, "logs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["eval", "--baseline", "random", "--seed", "9", "--repeats", "2",
+                         "--maps", maps_path, "--save-logs", logs])
+    if code != 0:
+        raise SystemExit(f"{LOGS_RUN}: gridmix eval exited {code}")
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(logs)):
+        with open(os.path.join(logs, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def metrics_digest(path: str) -> str:
     """sha256 of the metrics file with the wall_s column dropped."""
     with open(path, newline="") as fh:
@@ -111,10 +136,10 @@ def main(argv: list[str] | None = None) -> None:
                     os.path.join(workdir, GIVEWAY_EVAL))
         runs = configs(workdir)
         evals = evaluations(workdir)
-        unknown = set(args.only) - set(runs) - set(evals)
+        unknown = set(args.only) - set(runs) - set(evals) - {LOGS_RUN}
         if unknown:
             parser.error(f"unknown run {sorted(unknown)}; "
-                         f"choose from {sorted(runs) + sorted(evals)}")
+                         f"choose from {sorted(runs) + sorted(evals) + [LOGS_RUN]}")
         for name, config in runs.items():
             if args.only and name not in args.only:
                 continue
@@ -129,6 +154,8 @@ def main(argv: list[str] | None = None) -> None:
             report = evaluate(policy, mapset, repeats=repeats)
             digest = hashlib.sha256(json.dumps([report.per_map, report.mean]).encode())
             print(f"{name}  report {digest.hexdigest()}", flush=True)
+        if not args.only or LOGS_RUN in args.only:
+            print(f"{LOGS_RUN}  logs {logs_digest(workdir)}", flush=True)
 
 
 if __name__ == "__main__":
