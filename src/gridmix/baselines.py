@@ -55,14 +55,20 @@ class RandomPolicy:
 
 class GreedyBfsPolicy:
     """Each agent follows greedy_moves on its own static BFS field, ignoring
-    what other agents intend to do; the move table is built per block."""
+    what other agents intend to do; the move table is built from the fields
+    of the block it is asked about, and rebuilt when that block changes."""
+
+    def __init__(self):
+        self._block: EnvBlock | None = None
+        self._moves: np.ndarray | None = None
 
     def actions(self, block: EnvBlock, keys) -> np.ndarray:
-        if block.t == 0:
+        if block is not self._block:
             pad = block.planes.shape[-1]
             self._moves = greedy_moves(
                 block.dist.reshape(block.dist.shape[:2] + (pad, pad))
             ).reshape(block.dist.shape)
+            self._block = block
         acts = np.full(block.active.shape, int(Action.STAY), dtype=np.int64)
         b, i = np.nonzero(block.active)
         acts[b, i] = self._moves[block.map_of[b], i, block.cells[b, i]]

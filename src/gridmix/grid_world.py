@@ -558,11 +558,11 @@ class EnvBlock:
         """True when every row has finished."""
         return self.t >= self.horizon or not self.active.any()
 
-    def positions(self, rows=slice(None)) -> np.ndarray:
-        """Grid (row, col) of every agent of ``rows``, (E, n, 2) for all
-        rows or (n, 2) for one; a finished agent keeps its last cell."""
+    def positions(self, e: int) -> np.ndarray:
+        """Grid (row, col) of every agent of row ``e``, (n, 2); a finished
+        agent keeps its last cell."""
         pad = self.planes.shape[-1]
-        return np.stack(np.divmod(self.cells[rows], pad), axis=-1) - self.obs_radius
+        return np.stack(np.divmod(self.cells[e], pad), axis=-1) - self.obs_radius
 
     def record(self, e: int) -> dict:
         """The map record of row ``e``, as map_record() writes it."""

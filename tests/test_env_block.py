@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy, greedy_moves
-from gridmix.grid_world import (EnvBlock, GridMap, InvalidActionCount, bfs_distance_field,
-                                bfs_distance_fields, env_from_record)
+from gridmix.grid_world import (Action, EnvBlock, GridMap, InvalidActionCount,
+                                bfs_distance_field, bfs_distance_fields, env_from_record)
 from gridmix.observation import observe
 
 from oracles import DELTAS, BruteForceSim, flood_fill, greedy_actions, reference_window
@@ -136,10 +136,10 @@ def test_block_steps_like_each_env():
                 assert step.episode_over[e] == ref.episode_over == brute["episode_over"]
                 cov.counts["truncated"] += ref.episode_over and env.t >= horizon \
                     and not ref.done.all()
-            positions = block.positions()
             for e, (env, sim) in enumerate(zip(envs, sims)):
-                assert positions[e].tolist() == [list(ag.pos) for ag in env.agents]
-                assert positions[e].tolist() == [list(a["pos"]) for a in sim.agents]
+                positions = block.positions(e).tolist()
+                assert positions == [list(ag.pos) for ag in env.agents]
+                assert positions == [list(a["pos"]) for a in sim.agents]
                 assert block.active[e].tolist() == [ag.active for ag in env.agents]
                 assert np.array_equal(block.planes[e], planes_of(env))
             if not block.episode_over:
@@ -190,6 +190,35 @@ def test_greedy_policy_is_the_per_env_rule():
                 if not env.episode_over:
                     env.step(acts[e])
             block.step(acts)
+
+
+def test_greedy_policy_alternates_between_blocks():
+    """One policy object asked about two blocks in turn, each first seen
+    after its start, acts on each block by that block's own fields."""
+    rng = np.random.default_rng(16)
+    policy = GreedyBfsPolicy()
+    for _ in range(10):
+        games = []
+        for _ in range(2):
+            records, repeats, radius, horizon = random_block(rng)
+            block = EnvBlock(records, repeats, radius, horizon)
+            envs = [env_from_record(records[e // repeats], radius, horizon)
+                    for e in range(len(records) * repeats)]
+            stay = np.full(block.active.shape, int(Action.STAY))
+            block.step(stay)
+            for env in envs:
+                env.step(stay[0])
+            games.append((block, envs))
+        while not all(block.episode_over for block, _ in games):
+            for block, envs in games:
+                if block.episode_over:
+                    continue
+                acts = policy.actions(block, [(e, 0) for e in range(len(envs))])
+                assert acts.tolist() == [greedy_actions(env) for env in envs]
+                for e, env in enumerate(envs):
+                    if not env.episode_over:
+                        env.step(acts[e])
+                block.step(acts)
 
 
 def test_greedy_moves_table_is_the_rule():

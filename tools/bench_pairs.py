@@ -7,8 +7,10 @@ DIR is a checkout holding ``perfbench/run.py`` and ``src/``. Pair k runs
 ``perfbench/run.py --workload W --seed S_k --seconds T`` once in each
 checkout, one run after the other, parent first in even pairs and the
 change first in odd ones; S_k is ``--first-seed + k``, so both sides of a
-pair see the same inputs. ``--workload`` may be repeated; the pairs of one
-workload finish before the next workload starts.
+pair see the same inputs, and T is the change's BENCHMARK.json
+``run_seconds``, so every pair runs for the benchmark's own length.
+``--workload`` may be repeated; the pairs of one workload finish before
+the next workload starts.
 
 For every workload and end-to-end metric of the change's BENCHMARK.json
 the file records each run's value, the median and quartiles of each side,
@@ -95,13 +97,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; default: BENCHMARK.json's run_seconds")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     report = {
         "command": " ".join([os.path.basename(sys.argv[0])] + sys.argv[1:]),
