@@ -1,9 +1,8 @@
 """Multi-agent grid pathfinding with a from-scratch QMIX/VDN/IQL learner."""
 
-from .grid_world import (Action, AgentState, EnvBlock, EnvConfig, EnvState, GenerationFailed,
-                         GridMap, InvalidActionCount, StepOutcome,
-                         bfs_distance_field, env_from_record, generate,
-                         map_hash, map_record, reward_for)
+from .grid_world import (Action, EnvConfig, EnvState, GenerationFailed, InvalidActionCount,
+                         StepOutcome, bfs_distance_field, env_from_record, generate,
+                         map_hash)
 from .observation import obs_dim, observe
 from .dense_net import (AdamState, NetParams, NonFiniteGradient, ShapeMismatch, Tape,
                         Topology, adam_step, backward, clip_global_norm, forward,

@@ -1,11 +1,11 @@
 """Non-learned reference policies and the rollout loop every evaluation uses.
 
 A policy exposes ``actions(block, keys) -> (E, n_agents) int array``: one
-action row per row of an EnvBlock, where ``keys[e]`` is row e's
+action row per row of an EnvState, where ``keys[e]`` is row e's
 ``(map_index, repeat)``. Inactive agents, and so finished rows, get Stay.
-A policy that keeps per-episode state starts it when it sees a block at
-``t == 0``, so one policy object can play any number of episodes, in any
-grouping, with the same result. The evaluator drives a baseline or a
+A policy that keeps per-episode state starts it when it sees a row at
+``t[e] == 0``, so one policy object can play any number of episodes, in
+any grouping, with the same result. The evaluator drives a baseline or a
 trained bundle through this interface, and play_episode steps a block's
 episodes in lockstep.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_world import N_ACTIONS, Action, EnvBlock
+from .grid_world import N_ACTIONS, Action, EnvState
 
 
 def greedy_moves(fields: np.ndarray) -> np.ndarray:
@@ -41,12 +41,11 @@ class RandomPolicy:
         self.seed = seed
         self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
-    def actions(self, block: EnvBlock, keys) -> np.ndarray:
+    def actions(self, block: EnvState, keys) -> np.ndarray:
         acts = np.full(block.active.shape, int(Action.STAY), dtype=np.int64)
-        if block.t == 0:
-            for key in keys:
-                self._streams[key] = np.random.default_rng(
-                    np.random.SeedSequence((self.seed, *key)))
+        for e in np.flatnonzero(block.t == 0):
+            self._streams[keys[e]] = np.random.default_rng(
+                np.random.SeedSequence((self.seed, *keys[e])))
         for e in np.flatnonzero(block.active.any(axis=1)):
             mask = block.active[e]
             acts[e, mask] = self._streams[keys[e]].integers(N_ACTIONS, size=int(mask.sum()))
@@ -59,10 +58,10 @@ class GreedyBfsPolicy:
     of the block it is asked about, and rebuilt when that block changes."""
 
     def __init__(self):
-        self._block: EnvBlock | None = None
+        self._block: EnvState | None = None
         self._moves: np.ndarray | None = None
 
-    def actions(self, block: EnvBlock, keys) -> np.ndarray:
+    def actions(self, block: EnvState, keys) -> np.ndarray:
         if block is not self._block:
             pad = block.planes.shape[-1]
             self._moves = greedy_moves(
@@ -75,7 +74,7 @@ class GreedyBfsPolicy:
         return acts
 
 
-def play_episode(block: EnvBlock, policy, keys, on_step=None) -> np.ndarray:
+def play_episode(block: EnvState, policy, keys, on_step=None) -> np.ndarray:
     """Step every episode of ``block`` in lockstep until each ends; (E, n)
     goal-reached flags.
 

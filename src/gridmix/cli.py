@@ -83,8 +83,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = RunConfig.from_json(args.config) if args.config else RunConfig()
-    stepping = bench_env_stepping(config.env_config(), n_steps=args.env_steps)
-    stepping_obs = bench_env_stepping(config.env_config(), n_steps=args.env_steps,
+    stepping = bench_env_stepping(config, n_steps=args.env_steps)
+    stepping_obs = bench_env_stepping(config, n_steps=args.env_steps,
                                       include_observations=True)
     loop_cfg = RunConfig(**{**config.__dict__,
                             "total_steps": args.loop_steps,

@@ -6,12 +6,18 @@ its own goal cell is removed from the map. Rewards are shaped by each
 agent's BFS distance-to-goal field, which is computed once at generation
 over the static grid (other agents are never obstacles for the field).
 
+EnvState is the one environment type: it holds any number of episodes as
+arrays, one per row, and steps them together. Training keeps one row per
+environment slot and evaluation one per (map, repeat); generate() and
+env_from_record() build a single row.
+
 Conventions: row 0 is the top row, column 0 is leftmost, Up decreases the
 row index. All dynamics are deterministic; randomness enters only through
 map generation.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -32,7 +38,7 @@ class GenerationFailed(RuntimeError):
 
 
 class InvalidActionCount(ValueError):
-    """step() received a number of actions different from the number of agents."""
+    """step() received actions whose shape is not (rows, agents)."""
 
 
 class Action(IntEnum):
@@ -79,57 +85,29 @@ class EnvConfig:
 
 
 @dataclass
-class GridMap:
-    """Static obstacle field. ``blocked[r, c]`` is True on obstacle cells."""
-
-    size: int
-    blocked: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.blocked = np.asarray(self.blocked, dtype=bool)
-        if self.blocked.shape != (self.size, self.size):
-            raise ValueError("blocked matrix shape does not match size")
-        # flat byte mirror for the stepping hot path
-        self._blocked_bytes = bytes(self.blocked.reshape(-1).view(np.uint8))
-
-
-@dataclass
-class AgentState:
-    """One agent: position, goal, liveness, and its static distance field.
-
-    ``dist_field[r, c]`` is the 4-connected BFS distance from (r, c) to the
-    goal over unblocked cells; blocked and unreachable cells hold ``inf``.
-    ``active`` flips to False exactly once: on reaching the goal or on
-    episode truncation.
-    """
-
-    pos: tuple[int, int]
-    goal: tuple[int, int]
-    active: bool
-    dist_field: np.ndarray
-
-
-@dataclass
 class StepOutcome:
-    """Per-step results. Inactive agents receive reward 0 and done False."""
+    """Per-step results of every row: ``rewards``, ``done`` and ``moved`` are
+    (E, n), ``episode_over`` is (E,) and tells which rows have finished.
+    Inactive agents, and so finished rows, receive reward 0 and done False."""
 
     rewards: np.ndarray
     done: np.ndarray
-    episode_over: bool
+    episode_over: np.ndarray
     moved: np.ndarray
 
 
-def bfs_distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
-    """4-connected BFS distances to ``goal`` over unblocked cells.
+def bfs_distance_field(blocked: np.ndarray, goal: tuple[int, int]) -> np.ndarray:
+    """4-connected BFS distances to ``goal`` over the unblocked cells of the
+    (S, S) matrix ``blocked``.
 
     Blocked and unreachable cells are set to ``inf``; the goal cell itself
     is 0. The field ignores agents entirely (static grid only).
     """
-    size = grid.size
+    size = len(blocked)
     gr, gc = goal
-    if grid.blocked[gr, gc]:
+    if blocked[gr, gc]:
         raise ValueError("goal cell is blocked")
-    blocked = grid._blocked_bytes
+    blocked = np.asarray(blocked, dtype=bool).tobytes()
     dist = [math.inf] * (size * size)
     start = gr * size + gc
     dist[start] = 0.0
@@ -213,224 +191,7 @@ def _check_agents(blocked: np.ndarray, starts, goals, start_dists) -> None:
             raise ValueError("agent goal is unreachable from its start")
 
 
-def reward_for(agent: AgentState, old_pos: tuple[int, int], new_pos: tuple[int, int]) -> float:
-    """Reward for one resolved agent transition.
-
-    Moving one step closer to the goal along any shortest route pays 0.5,
-    moving away pays -1.0, and staying in place (including failed moves)
-    pays -0.5. The grid graph is bipartite, so a successful move changes
-    the BFS distance by exactly 1; this is asserted.
-    """
-    if new_pos == old_pos:
-        return REWARD_STAY
-    d_old = agent.dist_field[old_pos]
-    d_new = agent.dist_field[new_pos]
-    assert abs(d_new - d_old) == 1.0, "successful move must change BFS distance by 1"
-    return REWARD_TOWARD if d_new < d_old else REWARD_AWAY
-
-
-class EnvState:
-    """Mutable environment state for one episode.
-
-    Instances are single-threaded but independent; a harness may step many
-    instances in parallel. ``step`` mutates in place and is deterministic:
-    two instances built from the same config and fed the same actions
-    evolve bit-identically.
-    """
-
-    def __init__(self, grid: GridMap, agents: list[AgentState], config: EnvConfig):
-        self.grid = grid
-        self.agents = agents
-        self.config = config
-        self.t = 0
-        self._validate()
-        self._build_caches()
-
-    def _validate(self) -> None:
-        _check_agents(self.grid.blocked, [ag.pos for ag in self.agents],
-                      [ag.goal for ag in self.agents],
-                      [ag.dist_field[ag.pos] for ag in self.agents])
-        if len(self.agents) < 1 or self.grid.size != self.config.size:
-            raise ValueError("inconsistent environment state")
-
-    def _build_caches(self) -> None:
-        size = self.grid.size
-        rad = self.config.obs_radius
-        pad = size + 2 * rad
-        self._blocked_f64 = self.grid.blocked.astype(np.float64)
-        self._home(np.zeros((1, 3, pad, pad), dtype=np.float64), 0)
-        self._pad_obstacles[:] = 1.0
-        self._pad_obstacles[rad:rad + size, rad:rad + size] = self._blocked_f64
-        self._occ = bytearray(size * size)
-        for ag in self.agents:
-            if ag.active:
-                r, c = ag.pos
-                self._occ[r * size + c] = 1
-                self._pad_agents[r + rad, c + rad] = 1.0
-                gr, gc = ag.goal
-                self._pad_goals[gr + rad, gc + rad] += 1.0
-
-    def _home(self, stack: np.ndarray, row: int) -> None:
-        # the padded obstacle, agent and goal planes are views of stack[row]
-        self._stack, self._row = stack, row
-        self._pad_obstacles, self._pad_agents, self._pad_goals = stack[row]
-
-    def move_planes(self, stack: np.ndarray, row: int) -> None:
-        """Copy the padded obstacle, agent and goal planes into ``stack[row]``
-        and keep them there: the env's caches become views of that row, so
-        stepping the env keeps it current."""
-        stack[row] = self._stack[self._row]
-        self._home(stack, row)
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.agents)
-
-    @property
-    def episode_over(self) -> bool:
-        return self.t >= self.config.horizon or not any(ag.active for ag in self.agents)
-
-    def _deactivate(self, agent: AgentState, *, at_goal: bool) -> None:
-        # removes the agent and its goal from occupancy and observation caches
-        size = self.grid.size
-        rad = self.config.obs_radius
-        agent.active = False
-        if not at_goal:
-            r, c = agent.pos
-            self._occ[r * size + c] = 0
-            self._pad_agents[r + rad, c + rad] = 0.0
-        gr, gc = agent.goal
-        self._pad_goals[gr + rad, gc + rad] -= 1.0
-
-    def step(self, actions) -> StepOutcome:
-        """Resolve one joint step; sequential in ascending agent index.
-
-        A move into a blocked cell, off the grid, or into a cell occupied
-        by another active agent (at its position after earlier-indexed
-        agents resolved) fails: the agent stays and is rewarded as staying.
-        An agent entering its own goal is removed from the map immediately,
-        so later-indexed agents may traverse the vacated cell this step.
-        """
-        n = len(self.agents)
-        if len(actions) != n:
-            raise InvalidActionCount(f"expected {n} actions, got {len(actions)}")
-        if self.episode_over:
-            raise RuntimeError("step() called on a finished episode")
-        size = self.grid.size
-        rad = self.config.obs_radius
-        blocked = self.grid._blocked_bytes
-        occ = self._occ
-        rewards = np.zeros(n, dtype=np.float64)
-        done = np.zeros(n, dtype=bool)
-        moved = np.zeros(n, dtype=bool)
-        for i in range(n):
-            ag = self.agents[i]
-            if not ag.active:
-                continue
-            dr, dc = ACTION_DELTAS[int(actions[i])]
-            r, c = ag.pos
-            if dr == 0 and dc == 0:
-                rewards[i] = reward_for(ag, ag.pos, ag.pos)
-                continue
-            nr = r + dr
-            nc = c + dc
-            if not (0 <= nr < size and 0 <= nc < size) or blocked[nr * size + nc] \
-                    or occ[nr * size + nc]:
-                rewards[i] = reward_for(ag, ag.pos, ag.pos)
-                continue
-            new_pos = (nr, nc)
-            rewards[i] = reward_for(ag, ag.pos, new_pos)
-            occ[r * size + c] = 0
-            self._pad_agents[r + rad, c + rad] = 0.0
-            ag.pos = new_pos
-            moved[i] = True
-            if new_pos == ag.goal:
-                done[i] = True
-                self._deactivate(ag, at_goal=True)
-            else:
-                occ[nr * size + nc] = 1
-                self._pad_agents[nr + rad, nc + rad] = 1.0
-        self.t += 1
-        if self.t >= self.config.horizon:
-            for ag in self.agents:
-                if ag.active:
-                    self._deactivate(ag, at_goal=False)  # truncated, not successful
-            episode_over = True
-        else:
-            episode_over = not any(ag.active for ag in self.agents)
-        return StepOutcome(rewards, done, episode_over, moved)
-
-    def global_state(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Full-information state tensor 3 x size x size.
-
-        Channel 0: obstacles, channel 1: active-agent occupancy, channel 2:
-        goal cells of active agents. Flattening is row-major per channel,
-        channels in this order. ``out`` may supply a preallocated array.
-        """
-        size = self.grid.size
-        rad = self.config.obs_radius
-        g = np.empty((3, size, size), dtype=np.float64) if out is None else out
-        g[0] = self._blocked_f64
-        g[1] = self._pad_agents[rad:rad + size, rad:rad + size]
-        np.greater(self._pad_goals[rad:rad + size, rad:rad + size], 0.0, out=g[2])
-        return g
-
-
-def shared_planes(envs: list[EnvState]) -> tuple[np.ndarray, list[int]]:
-    """One array holding every env's padded planes, and each env's row in it.
-
-    That is the envs' common stack when move_planes() homed them all in
-    one (always so for a single env); otherwise a stacked copy.
-    """
-    stack = envs[0]._stack
-    if all(env._stack is stack for env in envs):
-        return stack, [env._row for env in envs]
-    return np.stack([env._stack[env._row] for env in envs]), list(range(len(envs)))
-
-
-def generate(config: EnvConfig) -> EnvState:
-    """Generate a random environment with guaranteed goal reachability.
-
-    Exactly ``floor(density * size^2)`` obstacle cells are sampled without
-    replacement. Starts are distinct free cells; each goal is drawn among
-    cells at BFS distance ``goal_dist`` from the start (any reachable cell
-    at distance >= 1 when unset). The whole map is resampled when any agent
-    has no valid goal, up to MAX_GENERATION_ATTEMPTS.
-    """
-    rng = np.random.default_rng(config.seed)
-    size = config.size
-    n_cells = size * size
-    n_blocked = math.floor(config.density * n_cells)
-    for _ in range(MAX_GENERATION_ATTEMPTS):
-        blocked_flat = np.zeros(n_cells, dtype=bool)
-        if n_blocked:
-            blocked_flat[rng.choice(n_cells, size=n_blocked, replace=False)] = True
-        free = np.flatnonzero(~blocked_flat)
-        if len(free) < config.n_agents:
-            continue
-        grid = GridMap(size, blocked_flat.reshape(size, size))
-        starts = rng.choice(free, size=config.n_agents, replace=False)
-        agents: list[AgentState] = []
-        for start_flat in starts:
-            start = (int(start_flat) // size, int(start_flat) % size)
-            from_start = bfs_distance_field(grid, start).reshape(-1)
-            if config.goal_dist is not None:
-                candidates = np.flatnonzero(from_start == config.goal_dist)
-            else:
-                candidates = np.flatnonzero(np.isfinite(from_start) & (from_start >= 1))
-            if len(candidates) == 0:
-                break
-            goal_flat = int(rng.choice(candidates))
-            goal = (goal_flat // size, goal_flat % size)
-            agents.append(AgentState(start, goal, True, bfs_distance_field(grid, goal)))
-        if len(agents) == config.n_agents:
-            return EnvState(grid, agents, config)
-    raise GenerationFailed(
-        f"no valid placement after {MAX_GENERATION_ATTEMPTS} attempts; "
-        f"config is over-constrained: {config}")
-
-
-# --- map (de)serialization -------------------------------------------------
+# --- map records --------------------------------------------------------------
 
 def _record(size: int, blocked: np.ndarray, starts, goals, seed: int) -> dict:
     return {
@@ -440,12 +201,6 @@ def _record(size: int, blocked: np.ndarray, starts, goals, seed: int) -> dict:
                    for s, g in zip(starts, goals)],
         "seed": int(seed),
     }
-
-
-def map_record(state: EnvState) -> dict:
-    """JSON-serializable record of the static episode setup."""
-    return _record(state.grid.size, state.grid.blocked, [ag.pos for ag in state.agents],
-                   [ag.goal for ag in state.agents], state.config.seed)
 
 
 def map_hash(record: dict) -> str:
@@ -492,71 +247,107 @@ def _parse_record(record: dict, obs_radius: int, horizon: int
     return config, blocked, starts, goals
 
 
-def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
-    """Rebuild a playable EnvState from a map record; a blocked cell, start
-    or goal outside the grid raises ValueError naming the field."""
-    config, blocked, starts, goals = _parse_record(record, obs_radius, horizon)
-    grid = GridMap(config.size, blocked)
-    agents = [AgentState(start, goal, True, bfs_distance_field(grid, goal))
-              for start, goal in zip(starts, goals)]
-    return EnvState(grid, agents, config)
+# --- the environment ------------------------------------------------------------
+
+# the arrays that hold one row's episode; load() copies them
+_ROW_ARRAYS = ("planes", "cells", "goal_cells", "active", "t", "dist")
 
 
-# --- lockstep blocks ----------------------------------------------------------
+class EnvState:
+    """Episodes held as arrays, one per row, and stepped together.
 
-class EnvBlock:
-    """Episodes on a list of map records, each record played ``repeats``
-    times, held as arrays and stepped together.
-
-    Row ``e`` plays record ``e // repeats``. Every record needs the same
-    size and agent count. Per row the block holds padded planes like an
-    EnvState's (obstacles with out-of-grid cells 1, active agents, and a
-    count of active agents' goals; ``planes[e]`` is (3, P, P) with P = size
-    + 2 * obs_radius), and per agent its cell and goal cell as flat indices
-    into a padded plane, and its active flag. ``dist[m, i]`` is agent i's
-    flat padded BFS distance field on record m, infinite off the grid; a
-    record's repeats share it. All rows share one clock ``t``; a row whose
-    agents are all inactive has finished and is left alone by step().
+    Row ``e`` plays map ``map_of[e]``; every map has the same size and
+    agent count n. Per row the state holds padded planes (obstacles with
+    out-of-grid cells 1, active agents, and a count of active agents'
+    goals; ``planes[e]`` is (3, P, P) with P = size + 2 * obs_radius), per
+    agent its cell and goal cell as flat indices into a padded plane and
+    its active flag, and the row's clock ``t[e]``. ``dist[map_of[e], i]`` is
+    agent i's flat padded BFS distance field, infinite off the grid; a
+    map's repeats share it. A row whose agents are all inactive has
+    finished: step() leaves it alone, and load() may put a new episode in
+    its place. Stepping is deterministic: rows built from the same map and
+    fed the same actions evolve bit-identically.
     """
 
-    def __init__(self, records: list[dict], repeats: int, obs_radius: int, horizon: int):
-        parsed = [_parse_record(record, obs_radius, horizon) for record in records]
-        blocked = np.array([p[1] for p in parsed])
-        starts = np.array([p[2] for p in parsed], dtype=np.intp).reshape(len(parsed), -1, 2)
-        goals = np.array([p[3] for p in parsed], dtype=np.intp).reshape(starts.shape)
-        fields = bfs_distance_fields(blocked, goals)
-        n_maps, n, size = len(parsed), starts.shape[1], blocked.shape[1]
-        maps, agents = np.arange(n_maps)[:, None], np.arange(n)
-        for m, (_, _, s, g) in enumerate(parsed):
-            _check_agents(blocked[m], s, g, fields[m, agents, starts[m, :, 0], starts[m, :, 1]])
-        self.size, self.obs_radius, self.horizon = size, obs_radius, horizon
-        self._setups = [(s, g, config.seed) for config, _, s, g in parsed]
-        self.t = 0
+    def __init__(self, blocked: np.ndarray, starts: np.ndarray, goals: np.ndarray,
+                 fields: np.ndarray, seeds: list[int], obs_radius: int, horizon: int,
+                 repeats: int = 1):
+        """Rows for M maps given as ``blocked`` (M, S, S), ``starts`` and
+        ``goals`` (M, n, 2), BFS ``fields`` (M, n, S, S) and ``seeds``; each
+        map is played by ``repeats`` consecutive rows. The maps are taken as
+        valid: from_records() checks records, generate() builds valid maps."""
+        n_maps, n = starts.shape[:2]
+        size = blocked.shape[-1]
         rad = obs_radius
         pad = size + 2 * rad
+        self.size, self.obs_radius, self.horizon = size, obs_radius, horizon
+        self._setups = list(zip(starts.tolist(), goals.tolist(), seeds))
         self.map_of = np.repeat(np.arange(n_maps), repeats)
-        self.dist = np.full((n_maps, n, pad, pad), np.inf)
-        self.dist[:, :, rad:rad + size, rad:rad + size] = fields
-        self.dist = self.dist.reshape(n_maps, n, pad * pad)
-        start_cells = (starts[..., 0] + rad) * pad + starts[..., 1] + rad
-        goal_cells = (goals[..., 0] + rad) * pad + goals[..., 1] + rad
+        dist = np.full((n_maps, n, pad, pad), np.inf)
+        dist[:, :, rad:rad + size, rad:rad + size] = fields
+        self.dist = dist.reshape(n_maps, n, pad * pad)
+        start_cells = starts @ (pad, 1) + rad * (pad + 1)
+        goal_cells = goals @ (pad, 1) + rad * (pad + 1)
         # goal counts fit the smallest unsigned type that holds n
         planes = np.zeros((n_maps, 3, pad * pad), dtype=np.min_scalar_type(n))
         planes[:, 0] = 1
         planes.reshape(n_maps, 3, pad, pad)[:, 0, rad:rad + size, rad:rad + size] = blocked
+        maps = np.arange(n_maps)[:, None]
         planes[maps, 1, start_cells] = 1
         np.add.at(planes, (maps, 2, goal_cells), 1)
         self.planes = np.repeat(planes, repeats, axis=0).reshape(-1, 3, pad, pad)
         self.cells = np.repeat(start_cells, repeats, axis=0)
         self.goal_cells = np.repeat(goal_cells, repeats, axis=0)
         self.active = np.ones(self.cells.shape, dtype=bool)
+        self.t = np.zeros(len(self.cells), dtype=np.int64)
         # flat padded index step of each action code
-        self._moves = np.array([dr * pad + dc for dr, dc in ACTION_DELTAS], dtype=np.intp)
+        self._moves = np.array(ACTION_DELTAS) @ (pad, 1)
+
+    @classmethod
+    def from_records(cls, records: list[dict], repeats: int, obs_radius: int,
+                     horizon: int) -> EnvState:
+        """Rows for map records, each record played by ``repeats`` rows; a
+        record that cannot be played raises ValueError naming the fault.
+
+        One map gets its fields from bfs_distance_field, whose Python BFS
+        costs less than the batched one for a few goals; more maps share one
+        bfs_distance_fields.
+        """
+        parsed = [_parse_record(record, obs_radius, horizon) for record in records]
+        blocked = np.array([p[1] for p in parsed])
+        starts = np.array([p[2] for p in parsed], dtype=np.intp).reshape(len(parsed), -1, 2)
+        goals = np.array([p[3] for p in parsed], dtype=np.intp).reshape(starts.shape)
+        if len(parsed) == 1:
+            fields = np.array([[bfs_distance_field(blocked[0], goal) for goal in parsed[0][3]]])
+        else:
+            fields = bfs_distance_fields(blocked, goals)
+        agents = np.arange(starts.shape[1])
+        for m, (_, _, s, g) in enumerate(parsed):
+            _check_agents(blocked[m], s, g, fields[m, agents, starts[m, :, 0], starts[m, :, 1]])
+        return cls(blocked, starts, goals, fields, [p[0].seed for p in parsed],
+                   obs_radius, horizon, repeats)
+
+    @classmethod
+    def stack(cls, envs: list[EnvState]) -> EnvState:
+        """One row per one-row state of ``envs``, in order, each with its
+        own map, so that load() can replace any row."""
+        state = copy.copy(envs[0])
+        for name in _ROW_ARRAYS:
+            setattr(state, name, np.concatenate([getattr(env, name) for env in envs]))
+        state._setups = [env._setups[0] for env in envs]
+        state.map_of = np.arange(len(envs))
+        return state
+
+    def load(self, e: int, env: EnvState) -> None:
+        """Put the one-row state ``env`` in row ``e`` of a stack()ed state."""
+        for name in _ROW_ARRAYS:
+            getattr(self, name)[e] = getattr(env, name)[0]
+        self._setups[e] = env._setups[0]
 
     @property
     def episode_over(self) -> bool:
         """True when every row has finished."""
-        return self.t >= self.horizon or not self.active.any()
+        return not self.active.any()
 
     def positions(self, e: int) -> np.ndarray:
         """Grid (row, col) of every agent of row ``e``, (n, 2); a finished
@@ -565,7 +356,8 @@ class EnvBlock:
         return np.stack(np.divmod(self.cells[e], pad), axis=-1) - self.obs_radius
 
     def record(self, e: int) -> dict:
-        """The map record of row ``e``, as map_record() writes it."""
+        """The JSON-serializable map record of row ``e``: its size, blocked
+        cells, agents' starts and goals, and seed."""
         rad, size = self.obs_radius, self.size
         return _record(size, self.planes[e, 0, rad:rad + size, rad:rad + size] > 0,
                        *self._setups[self.map_of[e]])
@@ -573,17 +365,26 @@ class EnvBlock:
     def step(self, actions) -> StepOutcome:
         """Resolve one joint step of every row that has not finished.
 
-        ``actions`` is (E, n). The rules are EnvState.step's, row by row:
-        agents resolve in ascending index, each one over every row at once,
-        and an agent entering its goal leaves the map before the next index
-        moves. The outcome's fields are (E, n) arrays, and ``episode_over``
-        is (E,): which rows have finished.
+        ``actions`` is (E, n). In each row agents resolve in ascending
+        index, each index over every row at once. A move into a blocked
+        cell, off the grid, or into a cell occupied by another active agent
+        (at its position after earlier-indexed agents resolved) fails: the
+        agent stays and is rewarded as staying. An agent entering its own
+        goal is removed from the map immediately, so later-indexed agents
+        may traverse the vacated cell this step. A row whose clock reaches
+        the horizon is truncated: its active agents leave without done.
+
+        Moving one step closer to the goal along any shortest route pays
+        0.5, moving away pays -1.0, and staying in place (including failed
+        moves) pays -0.5. The grid graph is bipartite, so a successful move
+        changes the BFS distance by exactly 1; this is asserted.
         """
         actions = np.asarray(actions)
         if actions.shape != self.active.shape:
             raise InvalidActionCount(f"expected actions of shape {self.active.shape}, "
                                      f"got {actions.shape}")
-        if self.episode_over:
+        live = self.active.any(axis=1)
+        if not live.any():
             raise RuntimeError("step() called on a finished episode")
         n_rows, n = self.active.shape
         flat = self.planes.reshape(n_rows, 3, -1)
@@ -615,11 +416,75 @@ class EnvBlock:
             self.active[e[arrived], i] = False
             goal_count[e[arrived], new[arrived]] -= 1
             occupied[e[~arrived], new[~arrived]] = 1
-        self.t += 1
-        if self.t >= self.horizon:
+        self.t[live] += 1
+        over = live & (self.t >= self.horizon)
+        if over.any():
             for i in range(n):  # truncated, not successful
-                e = np.flatnonzero(self.active[:, i])
+                e = np.flatnonzero(over & self.active[:, i])
                 occupied[e, self.cells[e, i]] = 0
                 goal_count[e, self.goal_cells[e, i]] -= 1
                 self.active[e, i] = False
         return StepOutcome(rewards, done, ~self.active.any(axis=1), moved)
+
+    def global_state(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Full-information state of every row, (E, 3, size, size).
+
+        Channel 0: obstacles, channel 1: active-agent occupancy, channel 2:
+        goal cells of active agents. Flattening a row is row-major per
+        channel, channels in this order. ``out`` may supply a preallocated
+        float64 array.
+        """
+        rad, size = self.obs_radius, self.size
+        if out is None:
+            out = np.empty((len(self.planes), 3, size, size))
+        np.greater(self.planes[:, :, rad:rad + size, rad:rad + size], 0, out=out)
+        return out
+
+
+def generate(config: EnvConfig) -> EnvState:
+    """Generate a random one-row environment with guaranteed goal reachability.
+
+    Exactly ``floor(density * size^2)`` obstacle cells are sampled without
+    replacement. Starts are distinct free cells; each goal is drawn among
+    cells at BFS distance ``goal_dist`` from the start (any reachable cell
+    at distance >= 1 when unset). The whole map is resampled when any agent
+    has no valid goal, up to MAX_GENERATION_ATTEMPTS.
+    """
+    rng = np.random.default_rng(config.seed)
+    size = config.size
+    n_cells = size * size
+    n_blocked = math.floor(config.density * n_cells)
+    for _ in range(MAX_GENERATION_ATTEMPTS):
+        blocked_flat = np.zeros(n_cells, dtype=bool)
+        if n_blocked:
+            blocked_flat[rng.choice(n_cells, size=n_blocked, replace=False)] = True
+        free = np.flatnonzero(~blocked_flat)
+        if len(free) < config.n_agents:
+            continue
+        blocked = blocked_flat.reshape(size, size)
+        starts, goals, fields = [], [], []
+        for start_flat in rng.choice(free, size=config.n_agents, replace=False):
+            starts.append(divmod(int(start_flat), size))
+            from_start = bfs_distance_field(blocked, starts[-1]).reshape(-1)
+            if config.goal_dist is not None:
+                candidates = np.flatnonzero(from_start == config.goal_dist)
+            else:
+                candidates = np.flatnonzero(np.isfinite(from_start) & (from_start >= 1))
+            if len(candidates) == 0:
+                break
+            goals.append(divmod(int(rng.choice(candidates)), size))
+            fields.append(bfs_distance_field(blocked, goals[-1]))
+        if len(fields) == config.n_agents:
+            return EnvState(blocked[None], np.array([starts]), np.array([goals]),
+                            np.array([fields]), [config.seed], config.obs_radius,
+                            config.horizon)
+    raise GenerationFailed(
+        f"no valid placement after {MAX_GENERATION_ATTEMPTS} attempts; "
+        f"config is over-constrained: {config}")
+
+
+def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
+    """Rebuild a playable one-row EnvState from a map record; a blocked
+    cell, start or goal outside the grid raises ValueError naming the
+    field."""
+    return EnvState.from_records([record], 1, obs_radius, horizon)

@@ -15,13 +15,14 @@ regardless of how many instances run.
 evaluate() rolls a greedy policy (or a baseline) over every map of a set
 with lockstep rollouts. The set plays in blocks: a block is a run of
 consecutive maps, in map-index order, times all their repeats, capped at
-EVAL_BLOCK_ROWS agents, built as one grid_world.EnvBlock straight from the
+EVAL_BLOCK_ROWS agents, built as one grid_world.EnvState straight from the
 map records. A map's repeats share its BFS fields. Every episode of a
 block advances together: per timestep one observation gather, one
 agent-net forward and one array step cover every active agent of every
 live episode, and finished episodes stand still. A baseline policy gets
-the same block through the same interface. Training steps its few envs
-one by one with EnvState.step.
+the same block through the same interface. Training steps its n_envs
+environments the same way, as the rows of one EnvState, and loads a new
+episode into each row that finished.
 """
 from __future__ import annotations
 
@@ -29,15 +30,14 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import qmix_core
 from .baselines import play_episode
 from .dense_net import forward
-from .grid_world import (Action, EnvBlock, EnvConfig, EnvState, env_from_record,
-                         generate, map_hash, map_record)
+from .grid_world import Action, EnvConfig, EnvState, env_from_record, generate, map_hash
 from .mapsets import gen_mapset, load_mapset, mapset_hash, sample_giveway_record
 from .observation import obs_dim, observe
 from .qmix_core import MixerBundle, load_bundle, save_bundle
@@ -180,7 +180,7 @@ class GreedyNetPolicy:
     def __init__(self, bundle: MixerBundle):
         self.bundle = bundle
 
-    def actions(self, block: EnvBlock, keys) -> np.ndarray:
+    def actions(self, block: EnvState, keys) -> np.ndarray:
         obs, active = observe(block)
         q, _ = forward(self.bundle.agent_net, obs.reshape(len(obs), -1))
         acts = np.full(active.shape, int(Action.STAY), dtype=np.int64)
@@ -225,7 +225,7 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     MixerBundle, a checkpoint path, or any policy object; map sets may be
     given as a path as well. Maps play in blocks of consecutive maps with
     all their repeats, at most EVAL_BLOCK_ROWS agents per block (one map
-    when a single map has more); each block is one EnvBlock, whose
+    when a single map has more); each block is one EnvState, whose
     episodes step in lockstep. ``on_step`` is passed on to play_episode.
     """
     if repeats < 1:
@@ -246,8 +246,8 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     block_maps = max(1, EVAL_BLOCK_ROWS // (cfg["n_agents"] * repeats))
     for first in range(0, len(maps), block_maps):
         indices = range(first, min(first + block_maps, len(maps)))
-        block = EnvBlock([maps[idx] for idx in indices], repeats, cfg["obs_radius"],
-                         cfg["horizon"])
+        block = EnvState.from_records([maps[idx] for idx in indices], repeats,
+                                      cfg["obs_radius"], cfg["horizon"])
         keys = [(idx, rep) for idx in indices for rep in range(repeats)]
         success = play_episode(block, policy, keys, on_step).mean(axis=1)
         for k in range(0, len(keys), repeats):
@@ -274,27 +274,17 @@ def _stream_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
 
 
 class _EnvSlot:
-    """One training environment plus its private rng streams.
+    """One training environment's private rng streams and the maps it drew."""
 
-    The env's padded planes live in one of two rows of ``planes``, a stack
-    that every slot shares: ``index`` and ``index + n_envs``. A reset puts
-    the new env in the other row, so the finished env's final planes stay
-    readable until the next window gather.
-    """
-
-    def __init__(self, config: RunConfig, index: int, eval_hashes: set[str],
-                 planes: np.ndarray):
+    def __init__(self, config: RunConfig, index: int, eval_hashes: set[str]):
         self.config = config
         self.map_rng = _stream_rng(config.seed, _TAG_MAPS, index)
         self.explore_rng = _stream_rng(config.seed, _TAG_EXPLORE, index)
         self.eval_hashes = eval_hashes
-        self.env: EnvState | None = None
         self.seen_hashes: set[str] = set()
-        self.planes = planes
-        self.row = index + config.n_envs
 
-    def reset(self) -> None:
-        # resample until the drawn map is not part of the evaluation set
+    def reset(self) -> EnvState:
+        """A new one-row episode whose map is not in the evaluation set."""
         for _ in range(MAX_RESET_DRAWS):
             if self.config.train_map_kind == "giveway":
                 record = sample_giveway_record(self.config.env_config(seed=0),
@@ -304,7 +294,7 @@ class _EnvSlot:
             else:
                 env = generate(self.config.env_config(
                     seed=int(self.map_rng.integers(2**63))))
-                record = map_record(env)
+                record = env.record(0)
             h = map_hash(record)
             if h not in self.eval_hashes:
                 break
@@ -313,9 +303,7 @@ class _EnvSlot:
                 f"{MAX_RESET_DRAWS} training map draws in a row were all in the "
                 "evaluation set: the evaluation set covers the training maps")
         self.seen_hashes.add(h)
-        self.row = (self.row + self.config.n_envs) % len(self.planes)
-        env.move_planes(self.planes, self.row)
-        self.env = env
+        return env
 
 
 def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainResult:
@@ -352,13 +340,9 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
     buffer = Buffer(config.buffer_capacity, config.n_agents, obs_d, state_d,
                     seed=int(_stream_rng(config.seed, _TAG_BUFFER).integers(2**63)))
 
-    # every slot's env keeps its padded planes in this stack, so the window
-    # gather reads them in place
-    pad = config.size + 2 * config.obs_radius
-    planes = np.zeros((2 * config.n_envs, 3, pad, pad))
-    slots = [_EnvSlot(config, i, eval_hashes, planes) for i in range(config.n_envs)]
-    for slot in slots:
-        slot.reset()
+    # one row per slot; a slot's finished row gets the slot's next episode
+    slots = [_EnvSlot(config, i, eval_hashes) for i in range(config.n_envs)]
+    state = EnvState.stack([slot.reset() for slot in slots])
 
     steps_done = 0
     trains_done = 0
@@ -395,33 +379,28 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
         return report
 
     n, n_envs = config.n_agents, config.n_envs
-    # one window gather per vector step covers the stepped envs, then the
-    # envs that replaced finished ones; its rows land in zero-filled
-    # (envs, n, obs_dim) layouts, the new envs' rows after row n_envs
-    windows = np.empty((2 * n_envs * n, 4) + (2 * config.obs_radius + 1,) * 2)
-    seen_obs = np.zeros((2 * n_envs, n, obs_d))
-    seen_state = np.zeros((2 * n_envs, state_d))
+    windows = np.empty((n_envs * n, 4) + (2 * config.obs_radius + 1,) * 2)
+    seen_obs = np.zeros((n_envs, n, obs_d))
     # one vector step's transitions, pushed as one block
     block = JointTransition(
         obs=np.zeros((n_envs, n, obs_d)), actions=np.zeros((n_envs, n), np.int64),
-        rewards=np.zeros((n_envs, n)), next_obs=seen_obs[:n_envs],
-        state=np.zeros((n_envs, state_d)), next_state=seen_state[:n_envs],
+        rewards=np.zeros((n_envs, n)), next_obs=np.zeros((n_envs, n, obs_d)),
+        state=np.zeros((n_envs, state_d)), next_state=np.zeros((n_envs, state_d)),
         done=np.zeros((n_envs, n), bool), active=np.zeros((n_envs, n), bool),
         terminal=np.zeros(n_envs, bool))
+    grid_shape = (n_envs, 3, config.size, config.size)
 
-    def gather(envs: list[EnvState]) -> np.ndarray:
-        """Observe ``envs`` into the leading rows of seen_obs and seen_state,
-        zeros for inactive agents; returns their (E, n) active mask."""
-        obs, active = observe(envs, out=windows)
-        seen_obs[:len(envs)] = 0.0
-        seen_obs[:len(envs)][active] = obs.reshape(len(obs), obs_d)
-        for e, env in enumerate(envs):
-            env.global_state(out=seen_state[e].reshape(3, config.size, config.size))
+    def gather() -> np.ndarray:
+        """Observe every row into seen_obs, zeros for inactive agents;
+        returns the (n_envs, n) active mask."""
+        obs, active = observe(state, out=windows)
+        seen_obs[:] = 0.0
+        seen_obs[active] = obs.reshape(len(obs), obs_d)
         return active
 
-    block.active[:] = gather([slot.env for slot in slots])
-    block.obs[:] = seen_obs[:n_envs]
-    block.state[:] = seen_state[:n_envs]
+    block.active[:] = gather()
+    block.obs[:] = seen_obs
+    state.global_state(out=block.state.reshape(grid_shape))
     try:
         last_report = emit_row()  # initial row at step 0
         next_eval_at = config.eval_interval
@@ -430,27 +409,30 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
             # batched greedy pass over every slot's agents, one GEMM for all
             q_all, _ = forward(bundle.agent_net, block.obs.reshape(n_envs * n, obs_d))
             greedy = q_all.argmax(axis=1).reshape(n_envs, n)
-            stepped, fresh = [slot.env for slot in slots], []
             for e, slot in enumerate(slots):
-                actions = qmix_core.epsilon_greedy(greedy[e], eps, slot.explore_rng,
-                                                   block.active[e])
-                outcome = slot.env.step(actions)
-                block.actions[e] = actions
-                block.rewards[e] = outcome.rewards
-                block.done[e] = outcome.done
-                block.terminal[e] = outcome.episode_over
-                if outcome.episode_over:
-                    slot.reset()
-                    fresh.append(e)
-            active = gather(stepped + [slots[e].env for e in fresh])
+                block.actions[e] = qmix_core.epsilon_greedy(greedy[e], eps, slot.explore_rng,
+                                                            block.active[e])
+            outcome = state.step(block.actions)
+            block.rewards[:] = outcome.rewards
+            block.done[:] = outcome.done
+            block.terminal[:] = outcome.episode_over
+            # a finished row's final state, before a new episode replaces it
+            state.global_state(out=block.next_state.reshape(grid_shape))
+            fresh = np.flatnonzero(outcome.episode_over)
+            for e in fresh:
+                state.load(e, slots[e].reset())
+            # a finished row's agents are all inactive, so its next_obs are
+            # zeros; the gather reads the new episodes' first observations
+            active = gather()
+            block.next_obs[:] = seen_obs
+            block.next_obs[fresh] = 0.0
             buffer.push(block)
-            # the next step starts where the stepped envs are now, and from
-            # the new envs in the slots that were reset
-            new = slice(n_envs, n_envs + len(fresh))
-            for rows, seen in ((block.obs, seen_obs), (block.state, seen_state),
-                               (block.active, active)):
-                rows[:] = seen[:n_envs]
-                rows[fresh] = seen[new]
+            block.obs[:] = seen_obs
+            block.active[:] = active
+            if len(fresh):
+                state.global_state(out=block.state.reshape(grid_shape))
+            else:
+                block.state[:] = block.next_state
             steps_done += n_envs
 
             if buffer.size >= config.min_buffer:
@@ -485,34 +467,35 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
 
 # --- benchmarks ---------------------------------------------------------------
 
-def bench_env_stepping(env_config: EnvConfig, n_steps: int = 30_000,
+def bench_env_stepping(config: RunConfig, n_steps: int = 30_000,
                        include_observations: bool = False,
                        time_fn=time.perf_counter) -> dict:
-    """Agent-steps per second of raw environment stepping.
+    """Agent-steps per second of raw environment stepping, over the
+    ``config.n_envs`` rows that train() steps; each step counts n
+    agent-steps per row.
 
     Only the stepping work (and, optionally, the window gather) is timed;
-    episode resets generate fresh maps outside the measured window. Actions
-    are drawn ahead of time.
+    a finished row is reset with a freshly generated map outside the
+    measured window. Actions are drawn ahead of time.
     """
-    rng = np.random.default_rng(env_config.seed)
-    n = env_config.n_agents
+    rng = np.random.default_rng(config.seed)
+    n, n_envs = config.n_agents, config.n_envs
 
     def fresh_env() -> EnvState:
-        return generate(replace(env_config, seed=int(rng.integers(2**63))))
+        return generate(config.env_config(seed=int(rng.integers(2**63))))
 
-    actions = rng.integers(0, 5, size=(n_steps, n))
-    env = fresh_env()
-    agent_steps = 0
+    actions = rng.integers(0, 5, size=(n_steps, n_envs, n))
+    state = EnvState.stack([fresh_env() for _ in range(n_envs)])
     elapsed = 0.0
     for k in range(n_steps):
         t0 = time_fn()
-        outcome = env.step(actions[k])
+        outcome = state.step(actions[k])
         if include_observations:
-            observe([env])
+            observe(state)
         elapsed += time_fn() - t0
-        agent_steps += n
-        if outcome.episode_over:
-            env = fresh_env()
+        for e in np.flatnonzero(outcome.episode_over):
+            state.load(e, fresh_env())
+    agent_steps = n_steps * n_envs * n
     return {
         "agent_steps": agent_steps,
         "seconds": elapsed,

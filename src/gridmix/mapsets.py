@@ -10,9 +10,11 @@ alcove adjacent to it. Two agents start at opposite corridor ends with
 goals at the far sides, so their unique shortest paths traverse the
 corridor in opposite directions and one agent must step into the alcove to
 let the other pass. Template parameters (corridor position, alcove
-position and side, orientation) are swept deterministically from the seed,
-and every emitted map is certified by a rejection oracle: a simultaneous
-greedy shortest-path rollout must fail for at least one agent.
+position and side, orientation) are swept deterministically from the seed.
+Greedy shortest-path play strands both agents on every member of the
+family: they meet head-on in the width-1 corridor, where neither greedy
+move leads into the alcove. So no emitted map needs a certifying rollout;
+greedy_rollout_fails() plays that rollout for any map record.
 """
 from __future__ import annotations
 
@@ -23,9 +25,8 @@ import json
 
 import numpy as np
 
-from .baselines import greedy_moves
-from .grid_world import (EnvConfig, GenerationFailed, env_from_record, generate,
-                         map_hash, map_record)
+from .baselines import GreedyBfsPolicy, play_episode
+from .grid_world import EnvConfig, GenerationFailed, env_from_record, generate, map_hash
 
 MAPSET_VERSION = 1
 
@@ -60,8 +61,9 @@ _CONFIG_KEYS = ("size", "n_agents", "obs_radius", "horizon")
 
 
 def load_mapset(path: str) -> dict:
-    """The map set at ``path``; a missing config key or record key raises
-    ValueError naming it."""
+    """The map set at ``path``; a missing config key or record key, a map or
+    agent that is not a JSON object, or a cell that is not a pair raises
+    ValueError naming the map."""
     with open(path) as fh:
         mapset = json.load(fh)
     if not isinstance(mapset, dict):
@@ -73,24 +75,32 @@ def load_mapset(path: str) -> dict:
     missing = [key for key in _CONFIG_KEYS if not isinstance(config, dict) or key not in config]
     if missing:
         raise ValueError(f"map set config has no {', '.join(missing)}")
+    if not isinstance(mapset.get("maps"), list):
+        raise ValueError("map set has no list of maps")
     for i, record in enumerate(mapset["maps"]):
+        if not isinstance(record, dict):
+            raise ValueError(f"map {i} is not a JSON object")
         missing = [key for key in ("size", "blocked", "agents") if key not in record]
-        missing += [f"agent {j} {key}" for j, agent in enumerate(record.get("agents", ()))
-                    for key in ("start", "goal") if key not in agent]
         if missing:
             raise ValueError(f"map {i} has no {', '.join(missing)}")
+        agents = record["agents"]
+        if not (isinstance(agents, list) and all(isinstance(a, dict) for a in agents)):
+            raise ValueError(f"map {i} agents are not a list of JSON objects")
+        missing = [f"agent {j} {key}" for j, agent in enumerate(agents)
+                   for key in ("start", "goal") if key not in agent]
+        if missing:
+            raise ValueError(f"map {i} has no {', '.join(missing)}")
+        cells = [agent[key] for agent in agents for key in ("start", "goal")]
+        if not isinstance(record["blocked"], list) or not all(
+                isinstance(cell, list) and len(cell) == 2 for cell in record["blocked"] + cells):
+            raise ValueError(f"map {i} has a cell that is not a [row, col] pair")
     return mapset
 
 
 def greedy_rollout_fails(record: dict, obs_radius: int, horizon: int) -> bool:
     """True when the simultaneous greedy shortest-path rollout strands an agent."""
     env = env_from_record(record, obs_radius=obs_radius, horizon=horizon)
-    moves = greedy_moves([ag.dist_field for ag in env.agents]).tolist()
-    reached = np.zeros(env.n_agents, dtype=bool)
-    while not env.episode_over:
-        reached |= env.step([moves[i][ag.pos[0]][ag.pos[1]] if ag.active else 0
-                             for i, ag in enumerate(env.agents)]).done
-    return not reached.all()
+    return not play_episode(env, GreedyBfsPolicy(), [(0, 0)]).all()
 
 
 MIN_CORRIDOR_LEN = 4  # BFS distance along the corridor; shorter maps are trivial
@@ -149,27 +159,22 @@ def _check_giveway_config(config: EnvConfig) -> None:
 
 
 def sample_giveway_record(config: EnvConfig, rng: np.random.Generator) -> dict:
-    """One random certified give-way map from the template family."""
+    """One random map of the give-way template family: a combo draw, then a
+    seed draw."""
     _check_giveway_config(config)
     combos = _giveway_combos(config.size)
-    for _ in range(MAX_GIVEWAY_DRAWS):
-        combo = combos[int(rng.integers(len(combos)))]
-        record = _giveway_record(config.size, *combo,
-                                 seed=int(rng.integers(2**63)))
-        if greedy_rollout_fails(record, config.obs_radius, config.horizon):
-            return record
-    raise GenerationFailed("no give-way template passed the greedy-failure oracle")
-
-
-MAX_GIVEWAY_DRAWS = 256
+    combo = combos[int(rng.integers(len(combos)))]
+    return _giveway_record(config.size, *combo, seed=int(rng.integers(2**63)))
 
 
 def gen_mapset(kind: str, count: int, config: EnvConfig, seed: int) -> dict:
     """Build a fixed map set of ``count`` maps.
 
     kind 'random': independent generate() outputs under ``config`` with
-    per-map seeds drawn from ``seed``. kind 'giveway': distinct certified
-    corridor templates, deterministically ordered from ``seed``.
+    per-map seeds drawn from ``seed``. kind 'giveway': the first ``count``
+    corridor templates of a permutation drawn from ``seed``, each with a
+    seed drawn after it; more than the family holds raises
+    GenerationFailed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -178,22 +183,17 @@ def gen_mapset(kind: str, count: int, config: EnvConfig, seed: int) -> dict:
     if kind == "random":
         for _ in range(count):
             cfg = dataclasses.replace(config, seed=int(rng.integers(2**63)))
-            maps.append(map_record(generate(cfg)))
+            maps.append(generate(cfg).record(0))
     elif kind == "giveway":
         _check_giveway_config(config)
         combos = _giveway_combos(config.size)
-        order = rng.permutation(len(combos))
-        for idx in order:
-            if len(maps) == count:
-                break
-            record = _giveway_record(config.size, *combos[int(idx)],
-                                     seed=int(rng.integers(2**63)))
-            if greedy_rollout_fails(record, config.obs_radius, config.horizon):
-                maps.append(record)
-        if len(maps) < count:
+        if count > len(combos):
             raise GenerationFailed(
-                f"give-way family for size {config.size} yields only {len(maps)} "
-                f"certified maps, {count} requested")
+                f"give-way family for size {config.size} holds only {len(combos)} "
+                f"maps, {count} requested")
+        for idx in rng.permutation(len(combos))[:count]:
+            maps.append(_giveway_record(config.size, *combos[int(idx)],
+                                        seed=int(rng.integers(2**63))))
     else:
         raise ValueError(f"unknown mapset kind {kind!r}")
     return {

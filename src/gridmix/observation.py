@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .grid_world import EnvBlock, EnvState, shared_planes
+from .grid_world import EnvState
 
 
 def obs_dim(obs_radius: int) -> int:
@@ -28,42 +28,26 @@ def obs_dim(obs_radius: int) -> int:
     return 4 * width * width
 
 
-def observe(envs: EnvBlock | list[EnvState], out: np.ndarray | None = None
+def observe(state: EnvState, out: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Observe every active agent of every env with one window gather.
+    """Observe every active agent of every row of ``state`` with one window
+    gather, read straight from its arrays.
 
-    ``envs`` is an EnvBlock or a list of EnvStates. Returns ``(obs,
-    active)``. ``active`` is the (E, n) mask of active agents; ``obs`` is
-    (K, 4, 2R+1, 2R+1) with one window per True entry of ``active``, in
-    row-major order of the mask. Flattening a window row-major gives the
-    channel blocks in declared order. ``out`` may supply a float64 array
-    with at least K such rows; ``obs`` is then its leading K rows. A block
-    is read straight from its arrays. A list needs one size and view
-    radius; when move_planes() has put its planes in one stack, no plane
-    is copied.
+    Returns ``(obs, active)``. ``active`` is the (E, n) mask of active
+    agents; ``obs`` is (K, 4, 2R+1, 2R+1) with one window per True entry of
+    ``active``, in row-major order of the mask. Flattening a window
+    row-major gives the channel blocks in declared order. ``out`` may
+    supply a float64 array with at least K such rows; ``obs`` is then its
+    leading K rows.
     """
-    if isinstance(envs, EnvBlock):
-        stack, active, rad = envs.planes, envs.active, envs.obs_radius
-        b, i = np.nonzero(active)
-        cells = envs.cells[b, i]
-        # flat padded cell (r + R) * P + c + R back to grid (r, c)
-        corner = rad * stack.shape[-1] + rad
-        r, c = np.divmod(cells - corner, stack.shape[-1])
-        gr, gc = np.divmod(envs.goal_cells[b, i] - corner, stack.shape[-1])
-        dists = envs.dist[envs.map_of[b], i, cells]
-    else:
-        stack, rows = shared_planes(envs)
-        rad = envs[0].config.obs_radius
-        flags, picks, dists = [], [], []
-        for env, row in zip(envs, rows):
-            for ag in env.agents:
-                flags.append(ag.active)
-                if ag.active:
-                    picks += (row, *ag.pos, *ag.goal)
-                    dists.append(ag.dist_field.item(ag.pos))
-        active = np.array(flags, dtype=bool).reshape(len(envs), -1)
-        b, r, c, gr, gc = np.array(picks, dtype=np.intp).reshape(-1, 5).T
-        dists = np.array(dists, dtype=np.float64)
+    stack, active, rad = state.planes, state.active, state.obs_radius
+    b, i = np.nonzero(active)
+    cells = state.cells[b, i]
+    # flat padded cell (r + R) * P + c + R back to grid (r, c)
+    corner = rad * stack.shape[-1] + rad
+    r, c = np.divmod(cells - corner, stack.shape[-1])
+    gr, gc = np.divmod(state.goal_cells[b, i] - corner, stack.shape[-1])
+    dists = state.dist[state.map_of[b], i, cells]
     width = 2 * rad + 1
     k = np.arange(len(dists))
     # windows[e, ch, r, c] is env e's channel ch window whose top-left is

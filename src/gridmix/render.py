@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import string
 
-from .grid_world import EnvBlock
+from .grid_world import EnvState
 
 LOG_VERSION = 1
 
@@ -28,11 +28,11 @@ class EpisodeLogs(dict):
     """A play_episode ``on_step`` callback that logs repeat 0 of every map,
     keyed by map index: one frame per state the episode saw."""
 
-    def __call__(self, block: EnvBlock, e: int, key) -> None:
+    def __call__(self, block: EnvState, e: int, key) -> None:
         index, repeat = key
         if repeat:
             return
-        if block.t == 0:
+        if block.t[e] == 0:
             self[index] = {"format_version": LOG_VERSION, "map": block.record(e),
                            "obs_radius": block.obs_radius, "frames": []}
         self[index]["frames"].append({

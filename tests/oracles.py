@@ -3,10 +3,10 @@
 These deliberately share no code with the package: the simulator works on
 plain dicts and tuples and recomputes every BFS field from scratch each
 step, the goal projection is a plain clamp and the border search enumerates
-window border cells directly, the window reference reads only public env
-state cell by cell, and the gradient checker compares against central
-finite differences. The greedy rule reads each agent's public field one
-neighbour at a time.
+window border cells directly, the window reference reads a map record and
+the agents' positions cell by cell, and the gradient checker compares
+against central finite differences. The greedy rule reads each agent's
+flood-fill field one neighbour at a time.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ class BruteForceSim:
     """Reference dynamics: sequential resolution, BFS recomputed per step."""
 
     def __init__(self, record, horizon):
+        self.record = record
         self.size = record["size"]
         self.blocked = {(r, c) for r, c in record["blocked"]}
         self.agents = [
@@ -128,48 +129,64 @@ def nearest_border_cells(delta_row, delta_col, radius):
     return [c for c in cells if key(c) == best]
 
 
-def reference_window(env, i):
-    """Agent i's (4, 2R+1, 2R+1) window, cell by cell from public env state.
+def reference_window(record, radius, positions, active, i):
+    """Agent i's (4, 2R+1, 2R+1) window, cell by cell, from a map record and
+    every agent's (row, col) position and active flag.
 
-    Reads only ``env.grid.blocked``, ``env.config.obs_radius`` and each
-    agent's ``pos``, ``goal``, ``active`` and ``dist_field``.
+    The centre's goal distance comes from flood_fill on the record.
     """
-    radius = env.config.obs_radius
-    size = len(env.grid.blocked)
-    me = env.agents[i]
-    assert me.active
-    others = [ag for j, ag in enumerate(env.agents) if j != i and ag.active]
+    size = record["size"]
+    blocked = {tuple(cell) for cell in record["blocked"]}
+    goals = [tuple(a["goal"]) for a in record["agents"]]
+    positions = [tuple(int(v) for v in pos) for pos in positions]
+    assert active[i]
+    others = [j for j in range(len(positions)) if j != i and active[j]]
+    me = positions[i]
     window = np.zeros((4, 2 * radius + 1, 2 * radius + 1))
     for dr in range(-radius, radius + 1):
         for dc in range(-radius, radius + 1):
-            cell = (me.pos[0] + dr, me.pos[1] + dc)
+            cell = (me[0] + dr, me[1] + dc)
             at = (dr + radius, dc + radius)
             inside = 0 <= cell[0] < size and 0 <= cell[1] < size
-            window[0][at] = 1.0 if not inside or env.grid.blocked[cell] else 0.0
-            window[1][at] = 1.0 if any(ag.pos == cell for ag in others) else 0.0
-            window[2][at] = 1.0 if any(ag.goal == cell for ag in others) else 0.0
-    window[1, radius, radius] = 1.0 / me.dist_field[me.pos]
-    gr = min(max(me.goal[0] - me.pos[0], -radius), radius)
-    gc = min(max(me.goal[1] - me.pos[1], -radius), radius)
+            window[0][at] = 1.0 if not inside or cell in blocked else 0.0
+            window[1][at] = 1.0 if any(positions[j] == cell for j in others) else 0.0
+            window[2][at] = 1.0 if any(goals[j] == cell for j in others) else 0.0
+    window[1, radius, radius] = 1.0 / flood_fill(size, blocked, goals[i])[me]
+    gr = min(max(goals[i][0] - me[0], -radius), radius)
+    gc = min(max(goals[i][1] - me[1], -radius), radius)
     window[3, gr + radius, gc + radius] = 1.0
     return window
 
 
-def greedy_actions(env):
-    """The greedy baseline's rule per agent, from public env state: the
-    neighbour with the smallest own BFS distance, ties to the lowest action
-    code, Stay when no in-grid neighbour has a finite distance; inactive
-    agents Stay."""
-    size = len(env.grid.blocked)
+def greedy_actions(record, positions, active):
+    """The greedy baseline's rule per agent, from a map record and the
+    agents' positions and active flags: the neighbour with the smallest
+    flood_fill distance to the agent's goal, ties to the lowest action code,
+    Stay when no in-grid neighbour is reachable; inactive agents Stay."""
+    size = record["size"]
+    blocked = {tuple(cell) for cell in record["blocked"]}
     acts = []
-    for ag in env.agents:
+    for agent, pos, live in zip(record["agents"], positions, active):
+        field = flood_fill(size, blocked, tuple(agent["goal"]))
         best_d, best_a = np.inf, 0
         for code in (1, 2, 3, 4):
-            r, c = ag.pos[0] + DELTAS[code][0], ag.pos[1] + DELTAS[code][1]
-            if ag.active and 0 <= r < size and 0 <= c < size and ag.dist_field[r, c] < best_d:
-                best_d, best_a = ag.dist_field[r, c], code
+            cell = (int(pos[0]) + DELTAS[code][0], int(pos[1]) + DELTAS[code][1])
+            if live and field.get(cell, np.inf) < best_d:
+                best_d, best_a = field[cell], code
         acts.append(best_a)
     return acts
+
+
+def sim_window(sim, radius, i):
+    """reference_window of agent i in a BruteForceSim's current state."""
+    return reference_window(sim.record, radius, [a["pos"] for a in sim.agents],
+                            [a["active"] for a in sim.agents], i)
+
+
+def sim_greedy(sim):
+    """greedy_actions in a BruteForceSim's current state."""
+    return greedy_actions(sim.record, [a["pos"] for a in sim.agents],
+                          [a["active"] for a in sim.agents])
 
 
 # activations with a non-differentiable point at 0

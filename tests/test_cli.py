@@ -130,6 +130,8 @@ def _write(path, text):
     "map_without_goal", "map_without_size", "map_without_blocked",
     "ckpt_without_mode", "ckpt_without_theta", "ckpt_not_object",
     "maps_config_without_horizon", "maps_config_without_size", "maps_not_object",
+    "maps_without_maps", "maps_entry_is_list", "maps_blocked_cell_is_number",
+    "maps_agent_is_number",
     "train_truncated", "gen-maps_truncated", "bench_truncated",
     "train_not_object", "gen-maps_not_object", "bench_not_object",
     "train_sets_train_every", "train_sets_eval_repeats", "train_sets_eval_map_kind",
@@ -161,6 +163,14 @@ def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
             mapset = json.load(fh)
         if case == "maps_not_object":
             mapset = [mapset]
+        elif case == "maps_without_maps":
+            del mapset["maps"]
+        elif case == "maps_entry_is_list":
+            mapset["maps"][1] = [mapset["maps"][1]]
+        elif case == "maps_blocked_cell_is_number":
+            mapset["maps"][1]["blocked"][0] = 3
+        elif case == "maps_agent_is_number":
+            mapset["maps"][1]["agents"][0] = 5
         else:
             del mapset["config"][case[len("maps_config_without_"):]]
         _write(maps_path, json.dumps(mapset))

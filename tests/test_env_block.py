@@ -1,19 +1,19 @@
-"""EnvBlock: lockstep episodes as arrays, checked against per-env stepping.
+"""Many-row EnvStates: lockstep episodes as arrays, checked row by row.
 
-Every step of a randomized block must give what EnvState.step and the
-brute-force simulator give on the same actions, row by row; every window
-must equal the oracle's; and the block policies must act as the per-env
-rules they replace.
+Every step of a randomized block must give, row by row, what a one-row
+EnvState of that row's map and the brute-force simulator give on the same
+actions; every window must equal the oracle's; and the block policies must
+act as the per-episode rules they implement.
 """
 import numpy as np
 import pytest
 
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy, greedy_moves
-from gridmix.grid_world import (Action, EnvBlock, GridMap, InvalidActionCount,
-                                bfs_distance_field, bfs_distance_fields, env_from_record)
+from gridmix.grid_world import (Action, EnvState, InvalidActionCount, bfs_distance_field,
+                                bfs_distance_fields, env_from_record)
 from gridmix.observation import observe
 
-from oracles import DELTAS, BruteForceSim, flood_fill, greedy_actions, reference_window
+from oracles import DELTAS, BruteForceSim, flood_fill, greedy_actions, sim_greedy, sim_window
 
 
 def random_record(rng, size, n_agents):
@@ -60,8 +60,9 @@ def random_block(rng):
     return records, int(rng.integers(1, 4)), radius, int(rng.integers(2, 13))
 
 
-def planes_of(env):
-    return env._stack[env._row]
+def sim_rows(records, repeats, horizon):
+    return [BruteForceSim(records[e // repeats], horizon)
+            for e in range(len(records) * repeats)]
 
 
 class Coverage:
@@ -69,27 +70,26 @@ class Coverage:
         self.counts = dict.fromkeys(["wall", "off_grid", "agent", "handover", "shared_goal",
                                      "truncated", "repeats", "reached"], 0)
 
-    def failed_moves(self, env, actions):
-        size = env.grid.size
-        taken = {ag.pos for ag in env.agents if ag.active}
-        for ag, a in zip(env.agents, actions):
-            if not ag.active or a == 0:
+    def failed_moves(self, sim, actions):
+        taken = {a["pos"] for a in sim.agents if a["active"]}
+        for agent, a in zip(sim.agents, actions):
+            if not agent["active"] or a == 0:
                 continue
-            r, c = ag.pos[0] + DELTAS[a][0], ag.pos[1] + DELTAS[a][1]
-            if not (0 <= r < size and 0 <= c < size):
+            r, c = agent["pos"][0] + DELTAS[a][0], agent["pos"][1] + DELTAS[a][1]
+            if not (0 <= r < sim.size and 0 <= c < sim.size):
                 self.counts["off_grid"] += 1
-            elif env.grid.blocked[r, c]:
+            elif (r, c) in sim.blocked:
                 self.counts["wall"] += 1
             elif (r, c) in taken:
                 self.counts["agent"] += 1
 
-    def handovers(self, env, done, moved):
-        for i, ag in enumerate(env.agents):
+    def handovers(self, sim, done, moved):
+        for i, agent in enumerate(sim.agents):
             if done[i]:
                 self.counts["reached"] += 1
                 self.counts["handover"] += sum(
-                    1 for j in range(i + 1, env.n_agents)
-                    if moved[j] and env.agents[j].pos == ag.goal)
+                    1 for j in range(i + 1, len(sim.agents))
+                    if moved[j] and sim.agents[j]["pos"] == agent["goal"])
 
 
 def test_block_steps_like_each_env():
@@ -97,10 +97,10 @@ def test_block_steps_like_each_env():
     cov = Coverage()
     for _ in range(60):
         records, repeats, radius, horizon = random_block(rng)
-        block = EnvBlock(records, repeats, radius, horizon)
+        block = EnvState.from_records(records, repeats, radius, horizon)
         envs = [env_from_record(records[e // repeats], radius, horizon)
                 for e in range(len(records) * repeats)]
-        sims = [BruteForceSim(records[e // repeats], horizon) for e in range(len(envs))]
+        sims = sim_rows(records, repeats, horizon)
         cov.counts["repeats"] += repeats > 1
         cov.counts["shared_goal"] += any(
             len({tuple(a["goal"]) for a in r["agents"]}) < len(r["agents"]) for r in records)
@@ -110,7 +110,7 @@ def test_block_steps_like_each_env():
             live = [e for e, env in enumerate(envs) if not env.episode_over]
             actions = np.zeros(block.active.shape, dtype=np.int64)
             for e in live:
-                greedy = greedy_actions(envs[e])
+                greedy = sim_greedy(sims[e])
                 actions[e] = [g if rng.random() < 0.6 else int(rng.integers(5))
                               for g in greedy]
                 actions[e][~block.active[e]] = int(rng.integers(5))  # ignored
@@ -123,33 +123,34 @@ def test_block_steps_like_each_env():
                     assert not step.rewards[e].any() and not step.done[e].any()
                     assert not step.moved[e].any() and step.episode_over[e]
                     continue
-                cov.failed_moves(env, actions[e])
-                ref = env.step(actions[e])
+                cov.failed_moves(sim, actions[e])
+                ref = env.step(actions[e:e + 1])
                 brute = sim.step(actions[e])
-                cov.handovers(env, ref.done, ref.moved)
-                for got, want in ((step.rewards[e], ref.rewards), (step.done[e], ref.done),
-                                  (step.moved[e], ref.moved)):
+                cov.handovers(sim, brute["done"], brute["moved"])
+                for got, want in ((step.rewards[e], ref.rewards[0]),
+                                  (step.done[e], ref.done[0]), (step.moved[e], ref.moved[0])):
                     assert np.array_equal(got, want)
                 assert step.rewards[e].tolist() == brute["rewards"]
                 assert step.done[e].tolist() == brute["done"]
                 assert step.moved[e].tolist() == brute["moved"]
-                assert step.episode_over[e] == ref.episode_over == brute["episode_over"]
-                cov.counts["truncated"] += ref.episode_over and env.t >= horizon \
-                    and not ref.done.all()
+                assert step.episode_over[e] == ref.episode_over[0] == brute["episode_over"]
+                cov.counts["truncated"] += brute["episode_over"] and sim.t >= horizon \
+                    and not all(brute["done"])
             for e, (env, sim) in enumerate(zip(envs, sims)):
                 positions = block.positions(e).tolist()
-                assert positions == [list(ag.pos) for ag in env.agents]
+                assert positions == env.positions(0).tolist()
                 assert positions == [list(a["pos"]) for a in sim.agents]
-                assert block.active[e].tolist() == [ag.active for ag in env.agents]
-                assert np.array_equal(block.planes[e], planes_of(env))
+                assert block.active[e].tolist() == env.active[0].tolist()
+                assert block.active[e].tolist() == [a["active"] for a in sim.agents]
+                assert np.array_equal(block.planes[e], env.planes[0])
+                assert block.t[e] == env.t[0] == sim.t
             if not block.episode_over:
                 obs, active = observe(block)
-                expected = [reference_window(env, i) for env in envs
-                            for i, ag in enumerate(env.agents) if ag.active]
-                assert active.tolist() == [[ag.active for ag in env.agents] for env in envs]
+                expected = [sim_window(sim, radius, i) for sim in sims
+                            for i, a in enumerate(sim.agents) if a["active"]]
+                assert active.tolist() == [[a["active"] for a in sim.agents] for sim in sims]
                 assert len(obs) == len(expected)
                 assert all(np.array_equal(row, ref) for row, ref in zip(obs, expected))
-        assert block.t == max(env.t for env in envs)
     assert all(cov.counts.values()), cov.counts
 
 
@@ -157,21 +158,20 @@ def test_random_policy_draws_as_per_env_streams():
     rng = np.random.default_rng(5)
     for seed in range(8):
         records, repeats, radius, horizon = random_block(rng)
-        block = EnvBlock(records, repeats, radius, horizon)
-        envs = [env_from_record(records[e // repeats], radius, horizon)
-                for e in range(len(records) * repeats)]
-        keys = [(7 + e // repeats, e % repeats) for e in range(len(envs))]
+        block = EnvState.from_records(records, repeats, radius, horizon)
+        sims = sim_rows(records, repeats, horizon)
+        keys = [(7 + e // repeats, e % repeats) for e in range(len(sims))]
         streams = {key: np.random.default_rng(np.random.SeedSequence((seed, *key)))
                    for key in keys}
         policy = RandomPolicy(seed)
         while not block.episode_over:
             acts = policy.actions(block, keys)
-            for e, (env, key) in enumerate(zip(envs, keys)):
-                want = [int(streams[key].integers(5)) if ag.active else 0
-                        for ag in env.agents]
+            for e, (sim, key) in enumerate(zip(sims, keys)):
+                want = [int(streams[key].integers(5)) if a["active"] else 0
+                        for a in sim.agents]
                 assert acts[e].tolist() == want
-                if not env.episode_over:
-                    env.step(acts[e])
+                if not sim.episode_over:
+                    sim.step(acts[e])
             block.step(acts)
 
 
@@ -179,16 +179,15 @@ def test_greedy_policy_is_the_per_env_rule():
     rng = np.random.default_rng(6)
     for _ in range(20):
         records, repeats, radius, horizon = random_block(rng)
-        block = EnvBlock(records, repeats, radius, horizon)
-        envs = [env_from_record(records[e // repeats], radius, horizon)
-                for e in range(len(records) * repeats)]
+        block = EnvState.from_records(records, repeats, radius, horizon)
+        sims = sim_rows(records, repeats, horizon)
         policy = GreedyBfsPolicy()
         while not block.episode_over:
-            acts = policy.actions(block, [(e, 0) for e in range(len(envs))])
-            assert acts.tolist() == [greedy_actions(env) for env in envs]
-            for e, env in enumerate(envs):
-                if not env.episode_over:
-                    env.step(acts[e])
+            acts = policy.actions(block, [(e, 0) for e in range(len(sims))])
+            assert acts.tolist() == [sim_greedy(sim) for sim in sims]
+            for e, sim in enumerate(sims):
+                if not sim.episode_over:
+                    sim.step(acts[e])
             block.step(acts)
 
 
@@ -201,23 +200,22 @@ def test_greedy_policy_alternates_between_blocks():
         games = []
         for _ in range(2):
             records, repeats, radius, horizon = random_block(rng)
-            block = EnvBlock(records, repeats, radius, horizon)
-            envs = [env_from_record(records[e // repeats], radius, horizon)
-                    for e in range(len(records) * repeats)]
+            block = EnvState.from_records(records, repeats, radius, horizon)
+            sims = sim_rows(records, repeats, horizon)
             stay = np.full(block.active.shape, int(Action.STAY))
             block.step(stay)
-            for env in envs:
-                env.step(stay[0])
-            games.append((block, envs))
+            for sim in sims:
+                sim.step(stay[0])
+            games.append((block, sims))
         while not all(block.episode_over for block, _ in games):
-            for block, envs in games:
+            for block, sims in games:
                 if block.episode_over:
                     continue
-                acts = policy.actions(block, [(e, 0) for e in range(len(envs))])
-                assert acts.tolist() == [greedy_actions(env) for env in envs]
-                for e, env in enumerate(envs):
-                    if not env.episode_over:
-                        env.step(acts[e])
+                acts = policy.actions(block, [(e, 0) for e in range(len(sims))])
+                assert acts.tolist() == [sim_greedy(sim) for sim in sims]
+                for e, sim in enumerate(sims):
+                    if not sim.episode_over:
+                        sim.step(acts[e])
                 block.step(acts)
 
 
@@ -227,13 +225,18 @@ def test_greedy_moves_table_is_the_rule():
         record = random_record(rng, int(rng.integers(3, 9)), 3)
         if record is None:
             continue
-        env = env_from_record(record, 1, 5)
-        table = greedy_moves([ag.dist_field for ag in env.agents])
+        size = record["size"]
+        blocked = np.zeros((size, size), dtype=bool)
+        for r, c in record["blocked"]:
+            blocked[r, c] = True
+        table = greedy_moves([bfs_distance_field(blocked, tuple(a["goal"]))
+                              for a in record["agents"]])
         # each agent's own rule at every free cell
-        for i in range(env.n_agents):
-            for cell in zip(*np.nonzero(~env.grid.blocked)):
-                env.agents[i].pos = tuple(int(v) for v in cell)
-                assert table[i][cell] == greedy_actions(env)[i]
+        starts = [a["start"] for a in record["agents"]]
+        for i in range(len(starts)):
+            for cell in zip(*np.nonzero(~blocked)):
+                positions = starts[:i] + [cell] + starts[i + 1:]
+                assert table[i][cell] == greedy_actions(record, positions, [True] * 3)[i]
 
 
 def test_batched_bfs_equals_single_fields():
@@ -249,8 +252,7 @@ def test_batched_bfs_equals_single_fields():
             cells = {tuple(int(v) for v in c) for c in np.argwhere(blocked[m])}
             for k, goal in enumerate(goals[m]):
                 goal = tuple(int(v) for v in goal)
-                assert np.array_equal(fields[m, k], bfs_distance_field(GridMap(size, blocked[m]),
-                                                                       goal))
+                assert np.array_equal(fields[m, k], bfs_distance_field(blocked[m], goal))
                 reach = flood_fill(size, cells, goal)
                 assert {c for c in np.ndindex(size, size)
                         if np.isfinite(fields[m, k][c])} == set(reach)
@@ -288,12 +290,12 @@ def test_bad_record_raises_env_from_record_text(change):
     with pytest.raises(ValueError) as single:
         env_from_record(record, 1, 5)
     with pytest.raises(ValueError) as block:
-        EnvBlock([OPEN, record], 2, 1, 5)
+        EnvState.from_records([OPEN, record], 2, 1, 5)
     assert str(block.value) == str(single.value)
 
 
 def test_step_checks_shape_and_end():
-    block = EnvBlock([OPEN], 2, 1, 1)
+    block = EnvState.from_records([OPEN], 2, 1, 1)
     with pytest.raises(InvalidActionCount):
         block.step(np.zeros((2, 3), dtype=np.int64))
     block.step(np.zeros((2, 2), dtype=np.int64))

@@ -1,15 +1,15 @@
-"""Environment generation, BFS fields, and step dynamics."""
+"""Environment generation, BFS fields, and step dynamics of one-row EnvStates."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmix.grid_world import (Action, EnvConfig, GenerationFailed, GridMap,
+from gridmix.grid_world import (Action, EnvConfig, EnvState, GenerationFailed,
                                 InvalidActionCount, bfs_distance_field,
-                                env_from_record, generate, map_hash, map_record)
+                                env_from_record, generate, map_hash)
 
-from oracles import BruteForceSim
+from oracles import BruteForceSim, flood_fill
 
 
 def make_env(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
@@ -17,6 +17,33 @@ def make_env(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
     return generate(EnvConfig(size=size, density=density, n_agents=n_agents,
                               obs_radius=obs_radius, horizon=horizon,
                               goal_dist=goal_dist, seed=seed))
+
+
+def pos(env, i):
+    """Agent i's (row, col) in a one-row env."""
+    return tuple(int(v) for v in env.positions(0)[i])
+
+
+def blocked_of(env):
+    record = env.record(0)
+    blocked = np.zeros((record["size"], record["size"]), dtype=bool)
+    for r, c in record["blocked"]:
+        blocked[r, c] = True
+    return blocked
+
+
+def field_of(env, i):
+    """Agent i's BFS distance field, (S, S), from the env's map record."""
+    return bfs_distance_field(blocked_of(env), tuple(env.record(0)["agents"][i]["goal"]))
+
+
+def start_distance(env, i):
+    """flood_fill distance from agent i's start to its goal; inf when unreachable."""
+    record = env.record(0)
+    agent = record["agents"][i]
+    field = flood_fill(record["size"], {tuple(c) for c in record["blocked"]},
+                       tuple(agent["goal"]))
+    return field.get(tuple(agent["start"]), np.inf)
 
 
 class TestEnvConfig:
@@ -42,21 +69,19 @@ class TestEnvConfig:
 
 class TestBfsDistanceField:
     def test_empty_grid_equals_manhattan(self):
-        grid = GridMap(3, np.zeros((3, 3), dtype=bool))
-        field = bfs_distance_field(grid, (1, 1))
+        field = bfs_distance_field(np.zeros((3, 3), dtype=bool), (1, 1))
         for r in range(3):
             for c in range(3):
                 assert field[r, c] == abs(r - 1) + abs(c - 1)
 
     def test_goal_cell_is_zero(self):
-        grid = GridMap(5, np.zeros((5, 5), dtype=bool))
-        assert bfs_distance_field(grid, (4, 2))[4, 2] == 0.0
+        assert bfs_distance_field(np.zeros((5, 5), dtype=bool), (4, 2))[4, 2] == 0.0
 
     def test_separated_component_is_unreachable(self):
         # full middle column wall: the right side cannot reach a left-side goal
         blocked = np.zeros((3, 3), dtype=bool)
         blocked[:, 1] = True
-        field = bfs_distance_field(GridMap(3, blocked), (1, 0))
+        field = bfs_distance_field(blocked, (1, 0))
         assert np.isinf(field[:, 2]).all()
         assert np.isinf(field[:, 1]).all()
         assert field[0, 0] == 1.0 and field[2, 0] == 1.0
@@ -65,45 +90,45 @@ class TestBfsDistanceField:
         blocked = np.zeros((3, 3), dtype=bool)
         blocked[1, 1] = True
         with pytest.raises(ValueError):
-            bfs_distance_field(GridMap(3, blocked), (1, 1))
+            bfs_distance_field(blocked, (1, 1))
 
 
 class TestGenerate:
     def test_tiny_grid_adjacent_goal(self):
         env = make_env(size=2, density=0.0, n_agents=1, obs_radius=1,
                        horizon=4, goal_dist=1, seed=11)
-        ag = env.agents[0]
-        assert ag.dist_field[ag.pos] == 1.0
-        assert abs(ag.pos[0] - ag.goal[0]) + abs(ag.pos[1] - ag.goal[1]) == 1
+        goal = env.record(0)["agents"][0]["goal"]
+        assert start_distance(env, 0) == 1.0
+        assert abs(pos(env, 0)[0] - goal[0]) + abs(pos(env, 0)[1] - goal[1]) == 1
 
     def test_exact_obstacle_count(self):
         env = make_env(seed=5)
-        assert int(env.grid.blocked.sum()) == math.floor(0.3 * 64) == 19
+        assert int(blocked_of(env).sum()) == math.floor(0.3 * 64) == 19
 
     def test_reference_scale_distances(self):
         env = generate(EnvConfig(size=15, density=0.3, n_agents=2, obs_radius=5,
                                  horizon=30, goal_dist=8, seed=21))
-        for ag in env.agents:
-            assert ag.dist_field[ag.pos] == 8.0
-        assert int(env.grid.blocked.sum()) == math.floor(0.3 * 225)
+        for i in range(2):
+            assert start_distance(env, i) == 8.0
+        assert int(blocked_of(env).sum()) == math.floor(0.3 * 225)
 
     def test_starts_distinct_and_free(self):
         env = make_env(n_agents=4, goal_dist=None, seed=9)
-        positions = [ag.pos for ag in env.agents]
+        positions = [pos(env, i) for i in range(4)]
         assert len(set(positions)) == 4
-        for ag in env.agents:
-            assert not env.grid.blocked[ag.pos]
-            assert not env.grid.blocked[ag.goal]
-            assert np.isfinite(ag.dist_field[ag.pos])
-            assert ag.dist_field[ag.pos] >= 1.0
+        blocked = blocked_of(env)
+        for i, agent in enumerate(env.record(0)["agents"]):
+            assert not blocked[positions[i]]
+            assert not blocked[tuple(agent["goal"])]
+            assert np.isfinite(start_distance(env, i))
+            assert start_distance(env, i) >= 1.0
 
     def test_deterministic(self):
         a = make_env(seed=77)
         b = make_env(seed=77)
-        assert np.array_equal(a.grid.blocked, b.grid.blocked)
-        for x, y in zip(a.agents, b.agents):
-            assert x.pos == y.pos and x.goal == y.goal
-            assert np.array_equal(x.dist_field, y.dist_field)
+        assert a.record(0) == b.record(0)
+        assert np.array_equal(a.planes, b.planes)
+        assert np.array_equal(a.dist, b.dist)
 
     def test_overconstrained_config_fails(self):
         # an empty 2x2 grid has no pair of cells at BFS distance 3
@@ -115,8 +140,8 @@ class TestGenerate:
     @settings(max_examples=25, deadline=None)
     def test_goal_distance_honored(self, seed, goal_dist):
         env = make_env(goal_dist=goal_dist, seed=seed)
-        for ag in env.agents:
-            d = ag.dist_field[ag.pos]
+        for i in range(2):
+            d = start_distance(env, i)
             if goal_dist is None:
                 assert np.isfinite(d) and d >= 1.0
             else:
@@ -127,37 +152,36 @@ class TestStep:
     def test_move_toward_goal(self):
         env = make_env(size=5, density=0.0, n_agents=1, obs_radius=2,
                        horizon=10, goal_dist=3, seed=1)
-        ag = env.agents[0]
-        r, c = ag.pos
-        field = ag.dist_field
+        r, c = pos(env, 0)
+        field = field_of(env, 0)
         for code, (dr, dc) in zip((1, 2, 3, 4), ((-1, 0), (1, 0), (0, -1), (0, 1))):
             nr, nc = r + dr, c + dc
             if 0 <= nr < 5 and 0 <= nc < 5 and field[nr, nc] == field[r, c] - 1:
-                out = env.step([code])
-                assert out.rewards[0] == 0.5
-                assert out.moved[0]
+                out = env.step([[code]])
+                assert out.rewards[0, 0] == 0.5
+                assert out.moved[0, 0]
                 return
         pytest.fail("no improving move found on an empty grid")
 
     def test_stay_penalized(self):
         env = make_env(size=5, density=0.0, n_agents=1, obs_radius=2,
                        horizon=10, goal_dist=3, seed=1)
-        pos = env.agents[0].pos
-        out = env.step([Action.STAY])
-        assert out.rewards[0] == -0.5
-        assert env.agents[0].pos == pos
-        assert not out.moved[0]
+        before = pos(env, 0)
+        out = env.step([[Action.STAY]])
+        assert out.rewards[0, 0] == -0.5
+        assert pos(env, 0) == before
+        assert not out.moved[0, 0]
 
     def test_move_away_penalized(self):
         env = make_env(size=5, density=0.0, n_agents=1, obs_radius=2,
                        horizon=10, goal_dist=2, seed=3)
-        ag = env.agents[0]
-        r, c = ag.pos
+        r, c = pos(env, 0)
+        field = field_of(env, 0)
         for code, (dr, dc) in zip((1, 2, 3, 4), ((-1, 0), (1, 0), (0, -1), (0, 1))):
             nr, nc = r + dr, c + dc
-            if 0 <= nr < 5 and 0 <= nc < 5 and ag.dist_field[nr, nc] == ag.dist_field[r, c] + 1:
-                out = env.step([code])
-                assert out.rewards[0] == -1.0
+            if 0 <= nr < 5 and 0 <= nc < 5 and field[nr, nc] == field[r, c] + 1:
+                out = env.step([[code]])
+                assert out.rewards[0, 0] == -1.0
                 return
         pytest.fail("no worsening move found")
 
@@ -169,17 +193,17 @@ class TestStep:
             "seed": 0,
         }
         env = env_from_record(record, obs_radius=1, horizon=5)
-        out = env.step([Action.RIGHT])  # into the obstacle
-        assert out.rewards[0] == -0.5
-        assert env.agents[0].pos == (0, 0)
+        out = env.step([[Action.RIGHT]])  # into the obstacle
+        assert out.rewards[0, 0] == -0.5
+        assert pos(env, 0) == (0, 0)
 
     def test_offgrid_move_is_a_stay(self):
         record = {"size": 3, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [2, 2]}], "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=5)
-        out = env.step([Action.UP])
-        assert out.rewards[0] == -0.5
-        assert env.agents[0].pos == (0, 0)
+        out = env.step([[Action.UP]])
+        assert out.rewards[0, 0] == -0.5
+        assert pos(env, 0) == (0, 0)
 
     def test_collision_blocks_second_agent(self):
         # agent 1 tries to enter agent 0's cell while agent 0 stays
@@ -188,9 +212,9 @@ class TestStep:
                              {"start": [1, 2], "goal": [1, 0]}],
                   "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=8)
-        out = env.step([Action.STAY, Action.LEFT])
-        assert env.agents[1].pos == (1, 2)
-        assert out.rewards[1] == -0.5
+        out = env.step([[Action.STAY, Action.LEFT]])
+        assert pos(env, 1) == (1, 2)
+        assert out.rewards[0, 1] == -0.5
 
     def test_swap_fails(self):
         record = {"size": 4, "blocked": [],
@@ -198,12 +222,12 @@ class TestStep:
                              {"start": [1, 2], "goal": [1, 0]}],
                   "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=8)
-        out = env.step([Action.RIGHT, Action.LEFT])
+        out = env.step([[Action.RIGHT, Action.LEFT]])
         # agent 0 cannot enter the still-occupied cell; agent 1 then cannot
         # enter agent 0's cell either
-        assert env.agents[0].pos == (1, 1)
-        assert env.agents[1].pos == (1, 2)
-        assert out.rewards[0] == -0.5 and out.rewards[1] == -0.5
+        assert pos(env, 0) == (1, 1)
+        assert pos(env, 1) == (1, 2)
+        assert out.rewards[0, 0] == -0.5 and out.rewards[0, 1] == -0.5
 
     def test_lower_index_vacates_for_higher(self):
         # agent 0 moves right, agent 1 takes its old cell in the same step
@@ -212,9 +236,9 @@ class TestStep:
                              {"start": [1, 0], "goal": [1, 2]}],
                   "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=8)
-        out = env.step([Action.RIGHT, Action.RIGHT])
-        assert env.agents[0].pos == (1, 2)
-        assert env.agents[1].pos == (1, 1)
+        out = env.step([[Action.RIGHT, Action.RIGHT]])
+        assert pos(env, 0) == (1, 2)
+        assert pos(env, 1) == (1, 1)
         assert out.moved.all()
 
     def test_goal_entry_removes_agent(self):
@@ -223,15 +247,15 @@ class TestStep:
                              {"start": [2, 2], "goal": [2, 0]}],
                   "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=8)
-        out = env.step([Action.RIGHT, Action.LEFT])
-        assert out.done[0] and not out.done[1]
-        assert not env.agents[0].active
-        assert out.rewards[0] == 0.5
+        out = env.step([[Action.RIGHT, Action.LEFT]])
+        assert out.done[0, 0] and not out.done[0, 1]
+        assert not env.active[0, 0]
+        assert out.rewards[0, 0] == 0.5
         # the vacated goal cell is free for others now
-        out2 = env.step([Action.STAY, Action.LEFT])
-        assert out2.rewards[0] == 0.0  # inactive agents earn nothing
-        assert env.agents[1].pos == (2, 0)
-        assert out2.episode_over  # everyone finished
+        out2 = env.step([[Action.STAY, Action.LEFT]])
+        assert out2.rewards[0, 0] == 0.0  # inactive agents earn nothing
+        assert pos(env, 1) == (2, 0)
+        assert out2.episode_over[0]  # everyone finished
 
     def test_same_step_goal_vacating(self):
         # agent 0 finishes on the cell agent 1 wants: removal is immediate,
@@ -241,57 +265,57 @@ class TestStep:
                              {"start": [0, 2], "goal": [0, 0]}],
                   "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=8)
-        out = env.step([Action.RIGHT, Action.LEFT])
-        assert out.done[0]
-        assert env.agents[1].pos == (0, 1)
+        out = env.step([[Action.RIGHT, Action.LEFT]])
+        assert out.done[0, 0]
+        assert pos(env, 1) == (0, 1)
 
     def test_truncation_deactivates_without_done(self):
         record = {"size": 5, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [4, 4]}], "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=2)
-        env.step([Action.STAY])
-        out = env.step([Action.STAY])
-        assert out.episode_over
-        assert not out.done[0]
-        assert not env.agents[0].active
+        env.step([[Action.STAY]])
+        out = env.step([[Action.STAY]])
+        assert out.episode_over[0]
+        assert not out.done[0, 0]
+        assert not env.active[0, 0]
 
     def test_wrong_action_count(self):
         env = make_env(seed=2)
         with pytest.raises(InvalidActionCount):
-            env.step([Action.STAY])
+            env.step([[Action.STAY]])
 
     def test_step_after_episode_over_raises(self):
         record = {"size": 3, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [2, 2]}], "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=1)
-        env.step([Action.STAY])
+        env.step([[Action.STAY]])
         with pytest.raises(RuntimeError):
-            env.step([Action.STAY])
+            env.step([[Action.STAY]])
 
     def test_t_increments(self):
         env = make_env(seed=2)
-        assert env.t == 0
-        env.step([Action.STAY, Action.STAY])
-        assert env.t == 1
+        assert env.t[0] == 0
+        env.step([[Action.STAY, Action.STAY]])
+        assert env.t[0] == 1
 
 
 def run_episode_pair(seed, size=8, density=0.3, n_agents=2, horizon=16):
     """Step the package env and the brute-force simulator in lockstep."""
     env = make_env(size=size, density=density, n_agents=n_agents,
                    obs_radius=5, horizon=horizon, goal_dist=None, seed=seed)
-    sim = BruteForceSim(map_record(env), horizon)
+    sim = BruteForceSim(env.record(0), horizon)
     rng = np.random.default_rng(seed + 1)
     while not env.episode_over:
         actions = rng.integers(0, 5, size=n_agents)
-        out = env.step(actions)
+        out = env.step(actions[None])
         ref = sim.step(actions)
-        assert list(out.rewards) == ref["rewards"]
-        assert list(out.done) == ref["done"]
-        assert list(out.moved) == ref["moved"]
-        assert out.episode_over == ref["episode_over"]
-        for ag, ref_ag in zip(env.agents, sim.agents):
-            assert ag.pos == ref_ag["pos"]
-            assert ag.active == ref_ag["active"]
+        assert list(out.rewards[0]) == ref["rewards"]
+        assert list(out.done[0]) == ref["done"]
+        assert list(out.moved[0]) == ref["moved"]
+        assert out.episode_over[0] == ref["episode_over"]
+        for i, ref_ag in enumerate(sim.agents):
+            assert pos(env, i) == ref_ag["pos"]
+            assert env.active[0, i] == ref_ag["active"]
 
 
 class TestOracleEquivalence:
@@ -307,19 +331,19 @@ class TestProperties:
         env = make_env(size=6, density=0.2, n_agents=n_agents, obs_radius=3,
                        horizon=12, goal_dist=None, seed=seed)
         rng = np.random.default_rng(seed)
+        blocked = blocked_of(env)
         while not env.episode_over:
-            active_before = [ag.active for ag in env.agents]
-            out = env.step(rng.integers(0, 5, size=n_agents))
-            cells = [ag.pos for ag in env.agents if ag.active]
+            active_before = env.active[0].tolist()
+            out = env.step(rng.integers(0, 5, size=(1, n_agents)))
+            cells = [pos(env, i) for i in range(n_agents) if env.active[0, i]]
             assert len(cells) == len(set(cells))
-            for ag in env.agents:
-                if ag.active:
-                    assert not env.grid.blocked[ag.pos]
+            for cell in cells:
+                assert not blocked[cell]
             for i, was_active in enumerate(active_before):
                 if was_active:
-                    assert out.rewards[i] in (0.5, -0.5, -1.0)
+                    assert out.rewards[0, i] in (0.5, -0.5, -1.0)
                 else:
-                    assert out.rewards[i] == 0.0
+                    assert out.rewards[0, i] == 0.0
 
     def test_step_determinism(self):
         rng = np.random.default_rng(123)
@@ -331,9 +355,9 @@ class TestProperties:
             for acts in actions:
                 if env.episode_over:
                     break
-                out = env.step(acts)
-                hist.append((tuple(out.rewards), tuple(out.done),
-                             tuple(ag.pos for ag in env.agents)))
+                out = env.step(acts[None])
+                hist.append((tuple(out.rewards[0]), tuple(out.done[0]),
+                             tuple(pos(env, i) for i in range(2))))
             histories.append(hist)
         assert histories[0] == histories[1]
 
@@ -341,37 +365,51 @@ class TestProperties:
 class TestGlobalState:
     def test_channel_contents(self):
         env = make_env(seed=5)
-        g = env.global_state()
-        assert g.shape == (3, 8, 8)
+        assert env.global_state().shape == (1, 3, 8, 8)
+        g = env.global_state()[0]
         assert g.reshape(-1).shape == (192,)
-        assert np.array_equal(g[0], env.grid.blocked.astype(float))
+        assert np.array_equal(g[0], blocked_of(env).astype(float))
         assert g[1].sum() == 2.0
-        for ag in env.agents:
-            assert g[1][ag.pos] == 1.0
-            assert g[2][ag.goal] == 1.0
+        for i, agent in enumerate(env.record(0)["agents"]):
+            assert g[1][pos(env, i)] == 1.0
+            assert g[2][tuple(agent["goal"])] == 1.0
 
     def test_empty_after_all_finish(self):
         record = {"size": 3, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [0, 1]}], "seed": 0}
         env = env_from_record(record, obs_radius=1, horizon=5)
-        env.step([Action.RIGHT])
-        g = env.global_state()
+        env.step([[Action.RIGHT]])
+        g = env.global_state()[0]
         assert g[1].sum() == 0.0 and g[2].sum() == 0.0
+
+    def test_rows_are_each_rows_state(self):
+        # one slice of a stacked state, with rows at different clocks, into
+        # a preallocated array
+        envs = [make_env(seed=s, goal_dist=None) for s in range(5)]
+        rng = np.random.default_rng(1)
+        for k, env in enumerate(envs):
+            for _ in range(k):
+                if not env.episode_over:
+                    env.step(rng.integers(0, 5, size=(1, 2)))
+        state = EnvState.stack(envs)
+        out = np.full((5, 3, 8, 8), 7.0)
+        assert state.global_state(out=out) is out
+        for e, env in enumerate(envs):
+            assert np.array_equal(out[e], env.global_state()[0])
 
 
 class TestMapRecords:
     def test_round_trip(self):
         env = make_env(seed=31)
-        record = map_record(env)
+        record = env.record(0)
         clone = env_from_record(record, obs_radius=5, horizon=16)
-        assert np.array_equal(clone.grid.blocked, env.grid.blocked)
-        for a, b in zip(env.agents, clone.agents):
-            assert a.pos == b.pos and a.goal == b.goal
-            assert np.array_equal(a.dist_field, b.dist_field)
+        assert clone.record(0) == record
+        for name in ("planes", "cells", "goal_cells", "active", "t", "dist"):
+            assert np.array_equal(getattr(clone, name), getattr(env, name)), name
 
     def test_hash_ignores_seed_only(self):
         env = make_env(seed=31)
-        record = map_record(env)
+        record = env.record(0)
         reseeded = dict(record, seed=999)
         assert map_hash(record) == map_hash(reseeded)
         moved = dict(record, agents=[{"start": a["goal"], "goal": a["start"]}

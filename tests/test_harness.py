@@ -8,18 +8,19 @@ import pytest
 
 from gridmix import harness
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy, baseline_policy, play_episode
-from gridmix.grid_world import EnvBlock, EnvConfig, GenerationFailed, env_from_record, map_hash
+from gridmix.grid_world import EnvConfig, EnvState, GenerationFailed, map_hash
 from gridmix.harness import (ConfigInvalid, RunConfig, TopologyMismatch,
                              bench_env_stepping, bench_train_loop, epsilon_at,
                              evaluate, train)
-from gridmix.mapsets import (gen_mapset, greedy_rollout_fails, load_mapset,
-                             mapset_hash, sample_giveway_record, save_mapset)
+from gridmix.mapsets import (_giveway_combos, _giveway_record, gen_mapset,
+                             greedy_rollout_fails, load_mapset, mapset_hash,
+                             sample_giveway_record, save_mapset)
 from gridmix.observation import obs_dim
 from gridmix.qmix_core import MixerBundle, load_bundle, select_actions
 from gridmix.render import (EpisodeLogs, MalformedLog, render_episode, render_frame,
                             render_map)
 
-from oracles import greedy_actions, reference_window
+from oracles import BruteForceSim, flood_fill, sim_greedy, sim_window
 
 
 def env_config(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
@@ -129,9 +130,10 @@ class TestMapsets:
         assert mapset["kind"] == "random"
         for record in mapset["maps"]:
             assert len(record["blocked"]) == math.floor(0.3 * 64)
-            env = env_from_record(record, obs_radius=5, horizon=16)
-            for ag in env.agents:
-                assert ag.dist_field[ag.pos] == 5.0
+            blocked = {tuple(cell) for cell in record["blocked"]}
+            for agent in record["agents"]:
+                field = flood_fill(8, blocked, tuple(agent["goal"]))
+                assert field[tuple(agent["start"])] == 5
 
     def test_deterministic(self):
         a = gen_mapset("random", 6, env_config(), seed=9)
@@ -176,6 +178,24 @@ class TestMapsets:
         with pytest.raises(GenerationFailed):
             gen_mapset("giveway", 10_000, env_config(), seed=0)
 
+    @pytest.mark.parametrize("size", [5, 6, 7, 8])
+    def test_greedy_strands_both_agents_on_every_giveway_map(self, size):
+        # why give-way maps need no certifying rollout: on every member of
+        # the family, simultaneous greedy play (the oracles' rule over
+        # flood_fill fields, stepped by the brute-force simulator) reaches a
+        # state where no agent moves while both are active. The rule and the
+        # dynamics are deterministic, so that state repeats at every horizon
+        combos = _giveway_combos(size)
+        assert combos
+        for combo in combos:
+            sim = BruteForceSim(_giveway_record(size, *combo, seed=0), 4 * size)
+            while True:
+                assert not sim.episode_over, combo
+                out = sim.step(sim_greedy(sim))
+                if not any(out["moved"]):
+                    break
+            assert all(a["active"] for a in sim.agents), combo
+
     def test_sampled_giveway_is_certified(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -193,7 +213,7 @@ class TestBaselines:
     def test_greedy_solo_reaches_goal_in_d_steps(self):
         record = {"size": 6, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [3, 4]}], "seed": 0}
-        block = EnvBlock([record], 1, obs_radius=2, horizon=10)
+        block = EnvState.from_records([record], 1, obs_radius=2, horizon=10)
         policy = GreedyBfsPolicy()
         steps = 0
         while not block.episode_over:
@@ -256,8 +276,8 @@ class TestEvaluate:
 
 
 def serial_per_map(act, mapset, repeats=1):
-    """Reference for evaluate(): one env_from_record per (map, repeat), each
-    episode stepped alone to its end with ``act(env, (map, repeat))``.
+    """Reference for evaluate(): one brute-force simulator per (map, repeat),
+    each episode stepped alone to its end with ``act(sim, (map, repeat))``.
 
     Returns per_map and every episode's length.
     """
@@ -266,24 +286,24 @@ def serial_per_map(act, mapset, repeats=1):
     for idx, record in enumerate(mapset["maps"]):
         total = 0.0
         for rep in range(repeats):
-            env = env_from_record(record, cfg["obs_radius"], cfg["horizon"])
-            reached = np.zeros(env.n_agents, dtype=bool)
-            while not env.episode_over:
-                reached |= env.step(act(env, (idx, rep))).done
-            lengths.append(env.t)
+            sim = BruteForceSim(record, cfg["horizon"])
+            reached = np.zeros(len(sim.agents), dtype=bool)
+            while not sim.episode_over:
+                reached |= sim.step(act(sim, (idx, rep)))["done"]
+            lengths.append(sim.t)
             total += float(reached.mean())
         per_map.append(total / repeats)
     return per_map, lengths
 
 
-def net_act(bundle):
-    """Greedy bundle actions for one env through the oracle's windows (zero
-    rows for inactive agents) and select_actions."""
-    def act(env, key):
-        active = np.array([ag.active for ag in env.agents])
-        obs = np.zeros((env.n_agents, bundle.obs_dim))
+def net_act(bundle, radius=5):
+    """Greedy bundle actions for one episode through the oracle's windows
+    (zero rows for inactive agents) and select_actions."""
+    def act(sim, key):
+        active = np.array([a["active"] for a in sim.agents])
+        obs = np.zeros((len(active), bundle.obs_dim))
         for i in np.flatnonzero(active):
-            obs[i] = reference_window(env, i).reshape(-1)
+            obs[i] = sim_window(sim, radius, i).reshape(-1)
         return select_actions(bundle, obs, 0.0, active=active)
     return act
 
@@ -293,10 +313,10 @@ def random_act(seed):
     per active agent in index order."""
     streams = {}
 
-    def act(env, key):
-        if env.t == 0:
+    def act(sim, key):
+        if sim.t == 0:
             streams[key] = np.random.default_rng(np.random.SeedSequence((seed, *key)))
-        return [int(streams[key].integers(5)) if ag.active else 0 for ag in env.agents]
+        return [int(streams[key].integers(5)) if a["active"] else 0 for a in sim.agents]
     return act
 
 
@@ -327,7 +347,7 @@ class TestLockstepEvaluate:
         mapset = random16_set(20)
         policy = GreedyBfsPolicy()
         report = evaluate(policy, mapset, repeats=2)
-        expected, _ = serial_per_map(lambda env, key: greedy_actions(env), mapset, 2)
+        expected, _ = serial_per_map(lambda sim, key: sim_greedy(sim), mapset, 2)
         assert report.per_map == expected
 
     def test_goal_seeker_episodes_of_different_lengths(self):
@@ -406,7 +426,7 @@ class TestRender:
     def test_episode_log_frames(self):
         record = {"size": 3, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [0, 2]}], "seed": 0}
-        block = EnvBlock([record], 1, obs_radius=1, horizon=6)
+        block = EnvState.from_records([record], 1, obs_radius=1, horizon=6)
         logs = EpisodeLogs()
         play_episode(block, GreedyBfsPolicy(), [(0, 0)], on_step=logs)
         log = logs[0]
@@ -539,8 +559,9 @@ class TestTrain:
 
 class TestBenchmarks:
     def test_env_stepping_reports_rate(self):
-        result = bench_env_stepping(env_config(), n_steps=2_000)
-        assert result["agent_steps"] == 4_000
+        # train()'s n_envs rows, n agent-steps per row per step
+        result = bench_env_stepping(RunConfig(goal_dist=5, n_envs=3), n_steps=2_000)
+        assert result["agent_steps"] == 2_000 * 3 * 2
         assert result["agent_steps_per_s"] > 0
 
     def test_train_loop_reports_rate(self):

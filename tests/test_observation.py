@@ -3,10 +3,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmix.grid_world import Action, EnvConfig, env_from_record, generate
+from gridmix.grid_world import Action, EnvConfig, EnvState, env_from_record, generate
 from gridmix.observation import obs_dim, observe
 
 from oracles import nearest_border_cells, project_goal, reference_window
+
+
+def row_window(state, e, i):
+    """reference_window of agent i in row e of ``state``."""
+    return reference_window(state.record(e), state.obs_radius, state.positions(e),
+                            state.active[e], i)
 
 
 def env_from(size, blocked, agents, obs_radius, horizon=10):
@@ -17,8 +23,8 @@ def env_from(size, blocked, agents, obs_radius, horizon=10):
 
 
 def window(env, i):
-    """Agent i's row of observe([env])."""
-    obs, active = observe([env])
+    """Agent i's row of observe(env) for a one-row env."""
+    obs, active = observe(env)
     assert active[0, i]
     return obs[int(active[0, :i].sum())]
 
@@ -127,15 +133,15 @@ class TestObserve:
 
     def test_finished_agents_invisible(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (2, 3))], obs_radius=2)
-        env.step([Action.STAY, Action.LEFT])  # agent 1 reaches its goal
+        env.step([[Action.STAY, Action.LEFT]])  # agent 1 reaches its goal
         obs = window(env, 0)
         assert obs[1, 2, 4] == 0.0  # no longer on the map
         assert obs[2].sum() == 0.0  # its goal marker is gone too
 
     def test_inactive_agent_has_no_row(self):
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
-        env.step([Action.RIGHT])
-        obs, active = observe([env])
+        env.step([[Action.RIGHT]])
+        obs, active = observe(env)
         assert obs.shape == (0, 4, 5, 5)
         assert active.tolist() == [[False]]
 
@@ -144,8 +150,8 @@ class TestObserve:
                                  horizon=16, goal_dist=None, seed=8))
         rng = np.random.default_rng(0)
         while not env.episode_over:
-            for i, ag in enumerate(env.agents):
-                if not ag.active:
+            for i in range(3):
+                if not env.active[0, i]:
                     continue
                 data = window(env, i)
                 assert (data >= 0.0).all() and (data <= 1.0).all()
@@ -153,29 +159,29 @@ class TestObserve:
                     assert set(np.unique(data[ch])) <= {0.0, 1.0}
                 assert data[3].sum() == 1.0
                 assert data[0, 3, 3] == 0.0
-            env.step(rng.integers(0, 5, size=3))
+            env.step(rng.integers(0, 5, size=(1, 3)))
 
     def test_out_parameter_reuses_storage(self):
         env = env_from(6, [], [((2, 2), (2, 3))], obs_radius=2)
         buf = np.zeros((3, 4, 5, 5))
-        obs, _ = observe([env], out=buf)
+        obs, _ = observe(env, out=buf)
         assert np.shares_memory(obs, buf) and obs.shape == (1, 4, 5, 5)
-        assert np.array_equal(buf[0], reference_window(env, 0))
+        assert np.array_equal(buf[0], row_window(env, 0, 0))
 
     def test_rows_skip_inactive_agents(self):
         env = env_from(6, [], [((2, 2), (5, 5)), ((2, 4), (2, 3)), ((4, 1), (0, 0))],
                        obs_radius=2)
-        env.step([Action.STAY, Action.LEFT, Action.STAY])  # agent 1 reaches its goal
-        obs, active = observe([env])
+        env.step([[Action.STAY, Action.LEFT, Action.STAY]])  # agent 1 reaches its goal
+        obs, active = observe(env)
         assert active.tolist() == [[True, False, True]]
         assert active.dtype == bool
         assert len(obs) == 2
         for row, i in zip(obs, (0, 2)):
-            assert np.array_equal(row, reference_window(env, i))
+            assert np.array_equal(row, row_window(env, 0, i))
 
 
-def random_env(rng, size, n_agents, obs_radius):
-    """A random open-ish map whose agents may share goal cells."""
+def random_record(rng, size, n_agents, obs_radius):
+    """A random open-ish map record whose agents may share goal cells."""
     while True:
         cells = rng.permutation(size * size)
         n_blocked = int(rng.integers(0, size * size // 4))
@@ -192,43 +198,54 @@ def random_env(rng, size, n_agents, obs_radius):
                              for a, g in zip(starts, goals)],
                   "seed": 0}
         try:
-            return env_from_record(record, obs_radius, horizon=int(rng.integers(4, 14)))
+            env_from_record(record, obs_radius, horizon=1)
         except ValueError:  # a goal unreachable from its start
             continue
+        return record
 
 
 class TestObserveEnvs:
     @pytest.mark.parametrize("stacked", [True, False])
     def test_rows_equal_observe(self, stacked):
         # rows equal the oracle's windows with inactive agents, finished
-        # episodes, goals outside the window and shared goal cells; stacked
-        # planes must stay current while stepping
+        # episodes, goals outside the window and shared goal cells. Stacked:
+        # one-row envs stepped apart, then stacked into one state; else one
+        # state built from the records, two rows per record, stepped together
         rng = np.random.default_rng(3 if stacked else 4)
         shared = outside = inactive = 0
         for _ in range(30):
             size, n = int(rng.integers(4, 13)), int(rng.integers(1, 5))
             radius = int(rng.integers(1, min(size, 4) + 1))
-            envs = [random_env(rng, size, n, radius) for _ in range(int(rng.integers(1, 6)))]
+            horizon = int(rng.integers(4, 14))
+            records = [random_record(rng, size, n, radius)
+                       for _ in range(int(rng.integers(1, 6)))]
             if stacked:
-                stack = np.zeros((len(envs),) + envs[0]._stack.shape[1:])
-                for row, env in enumerate(envs):
-                    env.move_planes(stack, row)
-            for env in envs:
-                for _ in range(int(rng.integers(0, env.config.horizon + 1))):
-                    if env.episode_over:
+                envs = [env_from_record(record, radius, horizon) for record in records]
+                for env in envs:
+                    for _ in range(int(rng.integers(0, horizon + 1))):
+                        if env.episode_over:
+                            break
+                        env.step(rng.integers(0, 5, size=(1, n)))
+                state = EnvState.stack(envs)
+            else:
+                state = EnvState.from_records(records, 2, radius, horizon)
+                for _ in range(int(rng.integers(0, horizon + 1))):
+                    if state.episode_over:
                         break
-                    env.step(rng.integers(0, 5, size=n))
-            obs, active = observe(envs)
-            assert active.tolist() == [[ag.active for ag in env.agents] for env in envs]
-            expected = [reference_window(env, i) for env in envs
-                        for i, ag in enumerate(env.agents) if ag.active]
+                    state.step(rng.integers(0, 5, size=state.active.shape))
+            obs, active = observe(state)
+            if stacked:
+                assert active.tolist() == [env.active[0].tolist() for env in envs]
+            rows = range(len(state.active))
+            expected = [row_window(state, e, i) for e in rows
+                        for i in range(n) if state.active[e, i]]
             assert obs.shape == (len(expected), 4, 2 * radius + 1, 2 * radius + 1)
             assert all(np.array_equal(row, ref) for row, ref in zip(obs, expected))
             inactive += int((~active).sum())
-            for env in envs:
-                goals = [ag.goal for ag in env.agents if ag.active]
+            for e in rows:
+                live = np.flatnonzero(active[e])
+                goals = [tuple(state.record(e)["agents"][i]["goal"]) for i in live]
                 shared += len(goals) > len(set(goals))
-                outside += sum(max(abs(ag.goal[0] - ag.pos[0]),
-                                   abs(ag.goal[1] - ag.pos[1])) > radius
-                               for ag in env.agents if ag.active)
+                outside += sum(max(abs(goal[0] - cell[0]), abs(goal[1] - cell[1])) > radius
+                               for goal, cell in zip(goals, state.positions(e)[live]))
         assert shared and outside and inactive

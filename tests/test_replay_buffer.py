@@ -105,15 +105,15 @@ class TestPacking:
         obs_ref, state_ref = [], []
         for env in envs:
             for _ in range(3):
-                obs, active = observe([env])
+                obs, active = observe(env)
                 rows = np.zeros((3, od), dtype=np.float32)  # zero rows when inactive
                 rows[active[0]] = obs.reshape(len(obs), od)
                 obs_ref.append(rows)
-                state_ref.append(env.global_state().reshape(-1).astype(np.float32))
+                state_ref.append(env.global_state()[0].reshape(-1).astype(np.float32))
                 moves = rng.integers(0, 5, size=3)
                 if env is envs[-1]:
                     moves = [Action.STAY, Action.LEFT, Action.STAY]  # agent 1 finishes
-                if env.step(moves).episode_over:
+                if env.step(np.reshape(moves, (1, 3))).episode_over[0]:
                     break
         obs_ref, state_ref = np.array(obs_ref), np.array(state_ref)
         count, sd = len(obs_ref), state_ref.shape[1]
