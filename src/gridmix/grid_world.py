@@ -282,7 +282,7 @@ class EnvState:
         pad = size + 2 * rad
         self.size, self.obs_radius, self.horizon = size, obs_radius, horizon
         self._setups = list(zip(starts.tolist(), goals.tolist(), seeds))
-        self.map_of = np.repeat(np.arange(n_maps), repeats)
+        self.map_of = np.arange(n_maps).repeat(repeats)
         dist = np.full((n_maps, n, pad, pad), np.inf)
         dist[:, :, rad:rad + size, rad:rad + size] = fields
         self.dist = dist.reshape(n_maps, n, pad * pad)
@@ -295,9 +295,11 @@ class EnvState:
         maps = np.arange(n_maps)[:, None]
         planes[maps, 1, start_cells] = 1
         np.add.at(planes, (maps, 2, goal_cells), 1)
-        self.planes = np.repeat(planes, repeats, axis=0).reshape(-1, 3, pad, pad)
-        self.cells = np.repeat(start_cells, repeats, axis=0)
-        self.goal_cells = np.repeat(goal_cells, repeats, axis=0)
+        if repeats > 1:  # a one-row reset skips the copies
+            planes, start_cells, goal_cells = (np.repeat(a, repeats, axis=0)
+                                               for a in (planes, start_cells, goal_cells))
+        self.planes = planes.reshape(-1, 3, pad, pad)
+        self.cells, self.goal_cells = start_cells, goal_cells
         self.active = np.ones(self.cells.shape, dtype=bool)
         self.t = np.zeros(len(self.cells), dtype=np.int64)
         # flat padded index step of each action code
