@@ -2,7 +2,7 @@
 
 from .grid_world import (Action, EnvConfig, EnvState, GenerationFailed, InvalidActionCount,
                          StepOutcome, bfs_distance_field, env_from_record, generate,
-                         map_hash)
+                         generate_record, map_hash)
 from .observation import obs_dim, observe
 from .dense_net import (AdamState, NetParams, NonFiniteGradient, ShapeMismatch, Tape,
                         Topology, adam_step, backward, clip_global_norm, forward,

@@ -86,13 +86,7 @@ def _cmd_bench(args) -> int:
     stepping = bench_env_stepping(config, n_steps=args.env_steps)
     stepping_obs = bench_env_stepping(config, n_steps=args.env_steps,
                                       include_observations=True)
-    loop_cfg = RunConfig(**{**config.__dict__,
-                            "total_steps": args.loop_steps,
-                            "eval_interval": args.loop_steps,
-                            "eval_map_count": 4,
-                            "min_buffer": max(config.batch_size, 256),
-                            "eval_maps": None})
-    loop = bench_train_loop(loop_cfg)
+    loop = bench_train_loop(config, total_steps=args.loop_steps)
     # the replay ring this config allocates, per entry
     ring = Buffer(config.buffer_capacity, config.n_agents, obs_dim(config.obs_radius),
                   3 * config.size * config.size)

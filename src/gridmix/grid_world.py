@@ -3,13 +3,15 @@
 A square grid holds static obstacles, agents, and per-agent goal cells.
 Agents move in the four cardinal directions or stay; an agent that enters
 its own goal cell is removed from the map. Rewards are shaped by each
-agent's BFS distance-to-goal field, which is computed once at generation
+agent's BFS distance-to-goal field, computed once when a row is built
 over the static grid (other agents are never obstacles for the field).
 
 EnvState is the one environment type: it holds any number of episodes as
-arrays, one per row, and steps them together. Training keeps one row per
-environment slot and evaluation one per (map, repeat); generate() and
-env_from_record() build a single row.
+arrays, one per row, and steps them together. Every row is built from a
+map record: generate_record() draws a random one, and EnvState(records,
+repeats, obs_radius, horizon) is the one constructor. Training keeps one
+row per environment slot and evaluation one per (map, repeat); generate()
+and env_from_record() build a single row.
 
 Conventions: row 0 is the top row, column 0 is leftmost, Up decreases the
 row index. All dynamics are deterministic; randomness enters only through
@@ -17,7 +19,6 @@ map generation.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -33,8 +34,9 @@ REWARD_AWAY = -1.0
 MAX_GENERATION_ATTEMPTS = 64
 
 
-class GenerationFailed(RuntimeError):
-    """No obstacle/start/goal placement satisfied the config within the attempt budget."""
+class GenerationFailed(ValueError):
+    """No obstacle/start/goal placement satisfied the config within the
+    attempt budget: the config asks for a map that no draw produced."""
 
 
 class InvalidActionCount(ValueError):
@@ -269,19 +271,29 @@ class EnvState:
     fed the same actions evolve bit-identically.
     """
 
-    def __init__(self, blocked: np.ndarray, starts: np.ndarray, goals: np.ndarray,
-                 fields: np.ndarray, seeds: list[int], obs_radius: int, horizon: int,
-                 repeats: int = 1):
-        """Rows for M maps given as ``blocked`` (M, S, S), ``starts`` and
-        ``goals`` (M, n, 2), BFS ``fields`` (M, n, S, S) and ``seeds``; each
-        map is played by ``repeats`` consecutive rows. The maps are taken as
-        valid: from_records() checks records, generate() builds valid maps."""
+    def __init__(self, records: list[dict], repeats: int, obs_radius: int, horizon: int):
+        """Rows for map records, each played by ``repeats`` consecutive
+        rows; a record that cannot be played raises ValueError naming the
+        fault. One map gets its fields from bfs_distance_field, whose Python
+        BFS costs less than the batched one for a few goals; more maps share
+        one bfs_distance_fields."""
+        parsed = [_parse_record(record, obs_radius, horizon) for record in records]
+        blocked = np.array([p[1] for p in parsed])
+        starts = np.array([p[2] for p in parsed], dtype=np.intp).reshape(len(parsed), -1, 2)
+        goals = np.array([p[3] for p in parsed], dtype=np.intp).reshape(starts.shape)
+        if len(parsed) == 1:
+            fields = np.array([[bfs_distance_field(blocked[0], goal) for goal in parsed[0][3]]])
+        else:
+            fields = bfs_distance_fields(blocked, goals)
         n_maps, n = starts.shape[:2]
+        agents = np.arange(n)
+        for m, (_, _, s, g) in enumerate(parsed):
+            _check_agents(blocked[m], s, g, fields[m, agents, starts[m, :, 0], starts[m, :, 1]])
         size = blocked.shape[-1]
         rad = obs_radius
         pad = size + 2 * rad
         self.size, self.obs_radius, self.horizon = size, obs_radius, horizon
-        self._setups = list(zip(starts.tolist(), goals.tolist(), seeds))
+        self._setups = list(zip(starts.tolist(), goals.tolist(), [p[0].seed for p in parsed]))
         self.map_of = np.arange(n_maps).repeat(repeats)
         dist = np.full((n_maps, n, pad, pad), np.inf)
         dist[:, :, rad:rad + size, rad:rad + size] = fields
@@ -305,43 +317,9 @@ class EnvState:
         # flat padded index step of each action code
         self._moves = np.array(ACTION_DELTAS) @ (pad, 1)
 
-    @classmethod
-    def from_records(cls, records: list[dict], repeats: int, obs_radius: int,
-                     horizon: int) -> EnvState:
-        """Rows for map records, each record played by ``repeats`` rows; a
-        record that cannot be played raises ValueError naming the fault.
-
-        One map gets its fields from bfs_distance_field, whose Python BFS
-        costs less than the batched one for a few goals; more maps share one
-        bfs_distance_fields.
-        """
-        parsed = [_parse_record(record, obs_radius, horizon) for record in records]
-        blocked = np.array([p[1] for p in parsed])
-        starts = np.array([p[2] for p in parsed], dtype=np.intp).reshape(len(parsed), -1, 2)
-        goals = np.array([p[3] for p in parsed], dtype=np.intp).reshape(starts.shape)
-        if len(parsed) == 1:
-            fields = np.array([[bfs_distance_field(blocked[0], goal) for goal in parsed[0][3]]])
-        else:
-            fields = bfs_distance_fields(blocked, goals)
-        agents = np.arange(starts.shape[1])
-        for m, (_, _, s, g) in enumerate(parsed):
-            _check_agents(blocked[m], s, g, fields[m, agents, starts[m, :, 0], starts[m, :, 1]])
-        return cls(blocked, starts, goals, fields, [p[0].seed for p in parsed],
-                   obs_radius, horizon, repeats)
-
-    @classmethod
-    def stack(cls, envs: list[EnvState]) -> EnvState:
-        """One row per one-row state of ``envs``, in order, each with its
-        own map, so that load() can replace any row."""
-        state = copy.copy(envs[0])
-        for name in _ROW_ARRAYS:
-            setattr(state, name, np.concatenate([getattr(env, name) for env in envs]))
-        state._setups = [env._setups[0] for env in envs]
-        state.map_of = np.arange(len(envs))
-        return state
-
     def load(self, e: int, env: EnvState) -> None:
-        """Put the one-row state ``env`` in row ``e`` of a stack()ed state."""
+        """Put the one-row state ``env`` in row ``e`` of a state built with
+        one repeat per record, so that every row has its own map."""
         for name in _ROW_ARRAYS:
             getattr(self, name)[e] = getattr(env, name)[0]
         self._setups[e] = env._setups[0]
@@ -443,8 +421,8 @@ class EnvState:
         return out
 
 
-def generate(config: EnvConfig) -> EnvState:
-    """Generate a random one-row environment with guaranteed goal reachability.
+def generate_record(config: EnvConfig) -> dict:
+    """The map record of a random map with guaranteed goal reachability.
 
     Exactly ``floor(density * size^2)`` obstacle cells are sampled without
     replacement. Starts are distinct free cells; each goal is drawn among
@@ -464,7 +442,7 @@ def generate(config: EnvConfig) -> EnvState:
         if len(free) < config.n_agents:
             continue
         blocked = blocked_flat.reshape(size, size)
-        starts, goals, fields = [], [], []
+        starts, goals = [], []
         for start_flat in rng.choice(free, size=config.n_agents, replace=False):
             starts.append(divmod(int(start_flat), size))
             from_start = bfs_distance_field(blocked, starts[-1]).reshape(-1)
@@ -475,18 +453,20 @@ def generate(config: EnvConfig) -> EnvState:
             if len(candidates) == 0:
                 break
             goals.append(divmod(int(rng.choice(candidates)), size))
-            fields.append(bfs_distance_field(blocked, goals[-1]))
-        if len(fields) == config.n_agents:
-            return EnvState(blocked[None], np.array([starts]), np.array([goals]),
-                            np.array([fields]), [config.seed], config.obs_radius,
-                            config.horizon)
+        if len(goals) == config.n_agents:
+            return _record(size, blocked, starts, goals, config.seed)
     raise GenerationFailed(
         f"no valid placement after {MAX_GENERATION_ATTEMPTS} attempts; "
         f"config is over-constrained: {config}")
+
+
+def generate(config: EnvConfig) -> EnvState:
+    """A random one-row environment: the map of generate_record(config)."""
+    return EnvState([generate_record(config)], 1, config.obs_radius, config.horizon)
 
 
 def env_from_record(record: dict, obs_radius: int, horizon: int) -> EnvState:
     """Rebuild a playable one-row EnvState from a map record; a blocked
     cell, start or goal outside the grid raises ValueError naming the
     field."""
-    return EnvState.from_records([record], 1, obs_radius, horizon)
+    return EnvState([record], 1, obs_radius, horizon)

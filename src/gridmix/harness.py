@@ -22,7 +22,8 @@ agent-net forward and one array step cover every active agent of every
 live episode, and finished episodes stand still. A baseline policy gets
 the same block through the same interface. Training steps its n_envs
 environments the same way, as the rows of one EnvState, and loads a new
-episode into each row that finished.
+episode, built from the map record its slot draws, into each row that
+finished.
 """
 from __future__ import annotations
 
@@ -30,14 +31,15 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import qmix_core
 from .baselines import play_episode
 from .dense_net import forward
-from .grid_world import Action, EnvConfig, EnvState, env_from_record, generate, map_hash
+from .grid_world import (Action, EnvConfig, EnvState, env_from_record, generate,
+                         generate_record, map_hash)
 from .mapsets import gen_mapset, load_mapset, mapset_hash, sample_giveway_record
 from .observation import obs_dim, observe
 from .qmix_core import MixerBundle, load_bundle, save_bundle
@@ -246,8 +248,8 @@ def evaluate(policy_or_bundle, mapset, repeats: int = 1, steps_so_far: int = 0,
     block_maps = max(1, EVAL_BLOCK_ROWS // (cfg["n_agents"] * repeats))
     for first in range(0, len(maps), block_maps):
         indices = range(first, min(first + block_maps, len(maps)))
-        block = EnvState.from_records([maps[idx] for idx in indices], repeats,
-                                      cfg["obs_radius"], cfg["horizon"])
+        block = EnvState([maps[idx] for idx in indices], repeats, cfg["obs_radius"],
+                         cfg["horizon"])
         keys = [(idx, rep) for idx in indices for rep in range(repeats)]
         success = play_episode(block, policy, keys, on_step).mean(axis=1)
         for k in range(0, len(keys), repeats):
@@ -274,7 +276,8 @@ def _stream_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
 
 
 class _EnvSlot:
-    """One training environment's private rng streams and the maps it drew."""
+    """One training row's private rng streams and the hashes of the map
+    records it drew; train() builds the row's episodes from its records."""
 
     def __init__(self, config: RunConfig, index: int, eval_hashes: set[str]):
         self.config = config
@@ -283,18 +286,16 @@ class _EnvSlot:
         self.eval_hashes = eval_hashes
         self.seen_hashes: set[str] = set()
 
-    def reset(self) -> EnvState:
-        """A new one-row episode whose map is not in the evaluation set."""
+    def reset(self) -> dict:
+        """The map record of the slot's next episode, a give-way draw or a
+        generate_record() map, drawn until it is not in the evaluation set."""
         for _ in range(MAX_RESET_DRAWS):
             if self.config.train_map_kind == "giveway":
                 record = sample_giveway_record(self.config.env_config(seed=0),
                                                self.map_rng)
-                env = env_from_record(record, self.config.obs_radius,
-                                      self.config.horizon)
             else:
-                env = generate(self.config.env_config(
+                record = generate_record(self.config.env_config(
                     seed=int(self.map_rng.integers(2**63))))
-                record = env.record(0)
             h = map_hash(record)
             if h not in self.eval_hashes:
                 break
@@ -303,7 +304,7 @@ class _EnvSlot:
                 f"{MAX_RESET_DRAWS} training map draws in a row were all in the "
                 "evaluation set: the evaluation set covers the training maps")
         self.seen_hashes.add(h)
-        return env
+        return record
 
 
 def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainResult:
@@ -342,7 +343,7 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
 
     # one row per slot; a slot's finished row gets the slot's next episode
     slots = [_EnvSlot(config, i, eval_hashes) for i in range(config.n_envs)]
-    state = EnvState.stack([slot.reset() for slot in slots])
+    state = EnvState([slot.reset() for slot in slots], 1, config.obs_radius, config.horizon)
 
     steps_done = 0
     trains_done = 0
@@ -405,13 +406,9 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
         last_report = emit_row()  # initial row at step 0
         next_eval_at = config.eval_interval
         while steps_done < config.total_steps and not stop:
-            eps = epsilon_at(steps_done, config)
-            # batched greedy pass over every slot's agents, one GEMM for all
-            q_all, _ = forward(bundle.agent_net, block.obs.reshape(n_envs * n, obs_d))
-            greedy = q_all.argmax(axis=1).reshape(n_envs, n)
-            for e, slot in enumerate(slots):
-                block.actions[e] = qmix_core.epsilon_greedy(greedy[e], eps, slot.explore_rng,
-                                                            block.active[e])
+            block.actions[:] = qmix_core.select_actions(
+                bundle, block.obs, epsilon_at(steps_done, config),
+                [slot.explore_rng for slot in slots], block.active)
             outcome = state.step(block.actions)
             block.rewards[:] = outcome.rewards
             block.done[:] = outcome.done
@@ -420,7 +417,8 @@ def train(config: RunConfig, out_dir: str, time_fn=time.perf_counter) -> TrainRe
             state.global_state(out=block.next_state.reshape(grid_shape))
             fresh = np.flatnonzero(outcome.episode_over)
             for e in fresh:
-                state.load(e, slots[e].reset())
+                state.load(e, env_from_record(slots[e].reset(), config.obs_radius,
+                                              config.horizon))
             # a finished row's agents are all inactive, so its next_obs are
             # zeros; the gather reads the new episodes' first observations
             active = gather()
@@ -481,11 +479,12 @@ def bench_env_stepping(config: RunConfig, n_steps: int = 30_000,
     rng = np.random.default_rng(config.seed)
     n, n_envs = config.n_agents, config.n_envs
 
-    def fresh_env() -> EnvState:
-        return generate(config.env_config(seed=int(rng.integers(2**63))))
+    def fresh_config() -> EnvConfig:
+        return config.env_config(seed=int(rng.integers(2**63)))
 
     actions = rng.integers(0, 5, size=(n_steps, n_envs, n))
-    state = EnvState.stack([fresh_env() for _ in range(n_envs)])
+    state = EnvState([generate_record(fresh_config()) for _ in range(n_envs)], 1,
+                     config.obs_radius, config.horizon)
     elapsed = 0.0
     for k in range(n_steps):
         t0 = time_fn()
@@ -494,7 +493,7 @@ def bench_env_stepping(config: RunConfig, n_steps: int = 30_000,
             observe(state)
         elapsed += time_fn() - t0
         for e in np.flatnonzero(outcome.episode_over):
-            state.load(e, fresh_env())
+            state.load(e, generate(fresh_config()))
     agent_steps = n_steps * n_envs * n
     return {
         "agent_steps": agent_steps,
@@ -506,17 +505,18 @@ def bench_env_stepping(config: RunConfig, n_steps: int = 30_000,
 
 def bench_train_loop(config: RunConfig | None = None, total_steps: int = 8_000,
                      trials: int = 3, time_fn=time.perf_counter) -> dict:
-    """Env-steps per second of the full loop (stepping + learning, batch 64).
-
-    Runs ``trials`` identical short jobs and reports the best rate next to
-    the mean: on shared hardware, scheduling noise only ever subtracts, so
-    the best trial is the capability estimate.
+    """Env-steps per second of the full loop (stepping + learning) at
+    ``config`` (RunConfig() when None) cut to ``total_steps`` steps, with one
+    evaluation on 4 generated maps and learning from max(batch_size, 256)
+    transitions on. The best of ``trials`` identical jobs is the capability
+    estimate (on shared hardware scheduling noise only ever subtracts); the
+    mean goes next to it.
     """
     import tempfile
 
-    if config is None:
-        config = RunConfig(total_steps=total_steps, eval_interval=total_steps,
-                           eval_map_count=4, min_buffer=256)
+    config = config or RunConfig()
+    config = replace(config, total_steps=total_steps, eval_interval=total_steps,
+                     eval_map_count=4, min_buffer=max(config.batch_size, 256), eval_maps=None)
     rates = []
     for _ in range(max(1, trials)):
         t0 = time_fn()

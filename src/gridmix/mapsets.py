@@ -26,7 +26,8 @@ import json
 import numpy as np
 
 from .baselines import GreedyBfsPolicy, play_episode
-from .grid_world import EnvConfig, GenerationFailed, env_from_record, generate, map_hash
+from .grid_world import (EnvConfig, GenerationFailed, _record, env_from_record,
+                         generate_record, map_hash)
 
 MAPSET_VERSION = 1
 
@@ -122,15 +123,7 @@ def _giveway_record(size: int, row: int, lo: int, hi: int, alcove: int, side: in
         blocked[lo:hi + 1, row] = False
         blocked[alcove, row + side] = False
         starts = [(lo, row), (hi, row)]
-    return {
-        "size": size,
-        "blocked": [[int(r), int(c)] for r, c in np.argwhere(blocked)],
-        "agents": [
-            {"start": list(starts[0]), "goal": list(starts[1])},
-            {"start": list(starts[1]), "goal": list(starts[0])},
-        ],
-        "seed": int(seed),
-    }
+    return _record(size, blocked, starts, starts[::-1], seed)
 
 
 @functools.cache
@@ -170,7 +163,7 @@ def sample_giveway_record(config: EnvConfig, rng: np.random.Generator) -> dict:
 def gen_mapset(kind: str, count: int, config: EnvConfig, seed: int) -> dict:
     """Build a fixed map set of ``count`` maps.
 
-    kind 'random': independent generate() outputs under ``config`` with
+    kind 'random': independent generate_record() maps under ``config`` with
     per-map seeds drawn from ``seed``. kind 'giveway': the first ``count``
     corridor templates of a permutation drawn from ``seed``, each with a
     seed drawn after it; more than the family holds raises
@@ -183,7 +176,7 @@ def gen_mapset(kind: str, count: int, config: EnvConfig, seed: int) -> dict:
     if kind == "random":
         for _ in range(count):
             cfg = dataclasses.replace(config, seed=int(rng.integers(2**63)))
-            maps.append(generate(cfg).record(0))
+            maps.append(generate_record(cfg))
     elif kind == "giveway":
         _check_giveway_config(config)
         combos = _giveway_combos(config.size)

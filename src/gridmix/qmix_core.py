@@ -316,23 +316,21 @@ def sync_targets(bundle: MixerBundle) -> None:
 
 
 def select_actions(bundle: MixerBundle, observations: np.ndarray, eps: float,
-                   rng: np.random.Generator | None = None,
-                   active: np.ndarray | None = None) -> np.ndarray:
-    """Per-agent epsilon-greedy actions from the online net.
-
-    Each active agent independently takes a uniform random action with
-    probability eps, otherwise the argmax of its Q-vector (ties resolve to
-    the lowest action code). Inactive agents emit Stay and consume no
-    randomness.
+                   rngs: list[np.random.Generator] | None,
+                   active: np.ndarray) -> np.ndarray:
+    """Epsilon-greedy actions, (E, n), for E rows of n agents from the
+    online net: one forward pass over all E * n ``observations`` (E, n,
+    obs_dim), inactive agents' rows included, whose argmax (ties to the
+    lowest action code) goes through epsilon_greedy row by row, row e with
+    ``rngs[e]`` and ``active[e]``. ``rngs`` may be None when eps is 0.
     """
-    observations = np.asarray(observations, dtype=np.float64)
-    n = observations.shape[0]
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    if eps > 0.0 and rng is None:
-        raise ValueError("eps > 0 requires an rng")
-    q, _ = forward(bundle.agent_net, observations)
-    return epsilon_greedy(q.argmax(axis=1), eps, rng, active)
+    if eps > 0.0 and rngs is None:
+        raise ValueError("eps > 0 requires an rng per row")
+    n_rows, n, width = observations.shape
+    q, _ = forward(bundle.agent_net, observations.reshape(n_rows * n, width))
+    greedy = q.argmax(axis=1).reshape(n_rows, n)
+    return np.array([epsilon_greedy(greedy[e], eps, None if rngs is None else rngs[e],
+                                    active[e]) for e in range(n_rows)])
 
 
 def epsilon_greedy(greedy: np.ndarray, eps: float, rng: np.random.Generator | None,

@@ -6,7 +6,8 @@ step, the goal projection is a plain clamp and the border search enumerates
 window border cells directly, the window reference reads a map record and
 the agents' positions cell by cell, and the gradient checker compares
 against central finite differences. The greedy rule reads each agent's
-flood-fill field one neighbour at a time.
+flood-fill field one neighbour at a time. stack_rows() is the one helper
+that is not an oracle: it only calls the state's own constructor and load().
 """
 from __future__ import annotations
 
@@ -191,6 +192,17 @@ def sim_greedy(sim):
 
 # activations with a non-differentiable point at 0
 KINKED_ACTIVATIONS = ("relu", "abs")
+
+
+def stack_rows(envs):
+    """One state with a row per one-row state of ``envs``, in order, each
+    row where its env stands: built from the envs' map records, then every
+    row loaded from its env."""
+    first = envs[0]
+    state = type(first)([env.record(0) for env in envs], 1, first.obs_radius, first.horizon)
+    for e, env in enumerate(envs):
+        state.load(e, env)
+    return state
 
 
 def tape_has_kink(tape, threshold=1e-7):

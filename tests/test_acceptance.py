@@ -16,7 +16,7 @@ import scipy.stats
 from gridmix import qmix_core as qc
 from gridmix.baselines import GreedyBfsPolicy, RandomPolicy
 from gridmix.dense_net import forward
-from gridmix.grid_world import EnvConfig, EnvState, env_from_record, generate
+from gridmix.grid_world import EnvConfig, EnvState, generate
 from gridmix.harness import (RunConfig, bench_env_stepping, bench_train_loop,
                              evaluate, train)
 from gridmix.mapsets import gen_mapset, save_mapset
@@ -115,10 +115,9 @@ def test_criterion_03_projection_oracle():
         span = 2 * radius + 3
         deltas = [(dr, dc) for dr in range(-span, span + 1)
                   for dc in range(-span, span + 1) if (dr, dc) != (0, 0)]
-        envs = [env_from_record({"size": 2 * span + 1, "blocked": [], "agents": [
-            {"start": [span, span], "goal": [span + dr, span + dc]}]},
-            obs_radius=radius, horizon=10) for dr, dc in deltas]
-        obs, _ = observe(EnvState.stack(envs))
+        records = [{"size": 2 * span + 1, "blocked": [], "agents": [
+            {"start": [span, span], "goal": [span + dr, span + dc]}]} for dr, dc in deltas]
+        obs, _ = observe(EnvState(records, 1, obs_radius=radius, horizon=10))
         for (dr, dc), window in zip(deltas, obs):
             marked = np.argwhere(window[3] > 0.0) - radius
             checked += 1

@@ -135,6 +135,7 @@ def _write(path, text):
     "train_truncated", "gen-maps_truncated", "bench_truncated",
     "train_not_object", "gen-maps_not_object", "bench_not_object",
     "train_sets_train_every", "train_sets_eval_repeats", "train_sets_eval_map_kind",
+    "no_map_giveway_three_agents", "no_map_giveway_count", "no_map_goal_dist",
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
     maps_path = str(tmp_path / "maps.json")
@@ -193,6 +194,20 @@ def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
                          "eval_map_kind": "random"}[field]
         bad = _write(str(tmp_path / "bad.json"), json.dumps(config))
         argv = ["train", "--config", bad, "--out", str(tmp_path / "run")]
+    elif case.startswith("no_map_"):
+        # configs that no map satisfies end in GenerationFailed
+        with open(config_path) as fh:
+            config = json.load(fh)
+        if case == "no_map_giveway_three_agents":
+            config.update(train_map_kind="giveway", n_agents=3)
+        else:
+            config.update(size=4, obs_radius=2, n_agents=2,
+                          goal_dist=16 if case == "no_map_goal_dist" else None)
+        bad = _write(str(tmp_path / "bad.json"), json.dumps(config))
+        argv = ["train", "--config", bad, "--out", str(tmp_path / "run")]
+        if case == "no_map_giveway_count":
+            argv = ["gen-maps", "--kind", "giveway", "--count", "5000",
+                    "--config", bad, "--out", maps_path]
     else:
         command, kind = case.split("_", 1)
         text = '{"size": 8,' if kind == "truncated" else "[1, 2]"

@@ -97,7 +97,7 @@ def test_block_steps_like_each_env():
     cov = Coverage()
     for _ in range(60):
         records, repeats, radius, horizon = random_block(rng)
-        block = EnvState.from_records(records, repeats, radius, horizon)
+        block = EnvState(records, repeats, radius, horizon)
         envs = [env_from_record(records[e // repeats], radius, horizon)
                 for e in range(len(records) * repeats)]
         sims = sim_rows(records, repeats, horizon)
@@ -158,7 +158,7 @@ def test_random_policy_draws_as_per_env_streams():
     rng = np.random.default_rng(5)
     for seed in range(8):
         records, repeats, radius, horizon = random_block(rng)
-        block = EnvState.from_records(records, repeats, radius, horizon)
+        block = EnvState(records, repeats, radius, horizon)
         sims = sim_rows(records, repeats, horizon)
         keys = [(7 + e // repeats, e % repeats) for e in range(len(sims))]
         streams = {key: np.random.default_rng(np.random.SeedSequence((seed, *key)))
@@ -179,7 +179,7 @@ def test_greedy_policy_is_the_per_env_rule():
     rng = np.random.default_rng(6)
     for _ in range(20):
         records, repeats, radius, horizon = random_block(rng)
-        block = EnvState.from_records(records, repeats, radius, horizon)
+        block = EnvState(records, repeats, radius, horizon)
         sims = sim_rows(records, repeats, horizon)
         policy = GreedyBfsPolicy()
         while not block.episode_over:
@@ -200,7 +200,7 @@ def test_greedy_policy_alternates_between_blocks():
         games = []
         for _ in range(2):
             records, repeats, radius, horizon = random_block(rng)
-            block = EnvState.from_records(records, repeats, radius, horizon)
+            block = EnvState(records, repeats, radius, horizon)
             sims = sim_rows(records, repeats, horizon)
             stay = np.full(block.active.shape, int(Action.STAY))
             block.step(stay)
@@ -290,12 +290,12 @@ def test_bad_record_raises_env_from_record_text(change):
     with pytest.raises(ValueError) as single:
         env_from_record(record, 1, 5)
     with pytest.raises(ValueError) as block:
-        EnvState.from_records([OPEN, record], 2, 1, 5)
+        EnvState([OPEN, record], 2, 1, 5)
     assert str(block.value) == str(single.value)
 
 
 def test_step_checks_shape_and_end():
-    block = EnvState.from_records([OPEN], 2, 1, 1)
+    block = EnvState([OPEN], 2, 1, 1)
     with pytest.raises(InvalidActionCount):
         block.step(np.zeros((2, 3), dtype=np.int64))
     block.step(np.zeros((2, 2), dtype=np.int64))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmix.grid_world import (Action, EnvConfig, EnvState, GenerationFailed,
-                                InvalidActionCount, bfs_distance_field,
-                                env_from_record, generate, map_hash)
+from gridmix.grid_world import (Action, EnvConfig, GenerationFailed, InvalidActionCount,
+                                bfs_distance_field, env_from_record, generate,
+                                generate_record, map_hash)
 
-from oracles import BruteForceSim, flood_fill
+from oracles import BruteForceSim, flood_fill, stack_rows
 
 
 def make_env(size=8, density=0.3, n_agents=2, obs_radius=5, horizon=16,
@@ -135,6 +135,32 @@ class TestGenerate:
         with pytest.raises(GenerationFailed):
             generate(EnvConfig(size=2, density=0.0, n_agents=1, obs_radius=1,
                                horizon=4, goal_dist=3, seed=0))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_row_is_its_record(self, seed):
+        # the one-row state of generate() plays the record generate_record()
+        # draws, with each agent's field the BFS field of its goal
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(4, 17))
+        config = EnvConfig(size=size, density=float(rng.choice([0.0, 0.1, 0.2, 0.3])),
+                           n_agents=int(rng.integers(1, 7)),
+                           obs_radius=int(rng.integers(1, size + 1)), horizon=20,
+                           goal_dist=None if seed % 2 else int(rng.integers(1, size // 2 + 1)),
+                           seed=int(rng.integers(2**63)))
+        record = generate_record(config)
+        env = generate(config)
+        assert env.record(0) == record
+        blocked = np.zeros((size, size), dtype=bool)
+        for r, c in record["blocked"]:
+            blocked[r, c] = True
+        rad = config.obs_radius
+        pad = size + 2 * rad
+        fields = env.dist[0].reshape(-1, pad, pad)
+        assert len(fields) == len(record["agents"]) == config.n_agents
+        for field, agent in zip(fields, record["agents"]):
+            assert np.array_equal(field[rad:rad + size, rad:rad + size],
+                                  bfs_distance_field(blocked, tuple(agent["goal"])))
+            assert np.isinf(field[:rad]).all() and np.isinf(field[:, -rad:]).all()
 
     @given(seed=st.integers(0, 2**32), goal_dist=st.sampled_from([None, 3, 5, 7]))
     @settings(max_examples=25, deadline=None)
@@ -391,7 +417,7 @@ class TestGlobalState:
             for _ in range(k):
                 if not env.episode_over:
                     env.step(rng.integers(0, 5, size=(1, 2)))
-        state = EnvState.stack(envs)
+        state = stack_rows(envs)
         out = np.full((5, 3, 8, 8), 7.0)
         assert state.global_state(out=out) is out
         for e, env in enumerate(envs):

@@ -213,7 +213,7 @@ class TestBaselines:
     def test_greedy_solo_reaches_goal_in_d_steps(self):
         record = {"size": 6, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [3, 4]}], "seed": 0}
-        block = EnvState.from_records([record], 1, obs_radius=2, horizon=10)
+        block = EnvState([record], 1, obs_radius=2, horizon=10)
         policy = GreedyBfsPolicy()
         steps = 0
         while not block.episode_over:
@@ -304,7 +304,7 @@ def net_act(bundle, radius=5):
         obs = np.zeros((len(active), bundle.obs_dim))
         for i in np.flatnonzero(active):
             obs[i] = sim_window(sim, radius, i).reshape(-1)
-        return select_actions(bundle, obs, 0.0, active=active)
+        return select_actions(bundle, obs[None], 0.0, None, active[None])[0]
     return act
 
 
@@ -426,7 +426,7 @@ class TestRender:
     def test_episode_log_frames(self):
         record = {"size": 3, "blocked": [],
                   "agents": [{"start": [0, 0], "goal": [0, 2]}], "seed": 0}
-        block = EnvState.from_records([record], 1, obs_radius=1, horizon=6)
+        block = EnvState([record], 1, obs_radius=1, horizon=6)
         logs = EpisodeLogs()
         play_episode(block, GreedyBfsPolicy(), [(0, 0)], on_step=logs)
         log = logs[0]
@@ -567,9 +567,8 @@ class TestBenchmarks:
     def test_train_loop_reports_rate(self):
         config = RunConfig(size=8, density=0.3, n_agents=2, obs_radius=5,
                            horizon=16, goal_dist=5, mode="qmix",
-                           total_steps=640, eval_interval=640,
-                           eval_map_count=2, min_buffer=128,
                            buffer_capacity=2_000)
-        result = bench_train_loop(config, trials=1)
+        result = bench_train_loop(config, total_steps=640, trials=1)
+        assert result["env_steps"] == 640
         assert result["env_steps_per_s"] > 0
         assert result["batch_size"] == 64

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gridmix.grid_world import Action, EnvConfig, EnvState, env_from_record, generate
 from gridmix.observation import obs_dim, observe
 
-from oracles import nearest_border_cells, project_goal, reference_window
+from oracles import nearest_border_cells, project_goal, reference_window, stack_rows
 
 
 def row_window(state, e, i):
@@ -209,8 +209,9 @@ class TestObserveEnvs:
     def test_rows_equal_observe(self, stacked):
         # rows equal the oracle's windows with inactive agents, finished
         # episodes, goals outside the window and shared goal cells. Stacked:
-        # one-row envs stepped apart, then stacked into one state; else one
-        # state built from the records, two rows per record, stepped together
+        # one-row envs stepped apart, then loaded into the rows of a state
+        # built from their records (stack_rows); else one state built from
+        # the records, two rows per record, stepped together
         rng = np.random.default_rng(3 if stacked else 4)
         shared = outside = inactive = 0
         for _ in range(30):
@@ -226,9 +227,9 @@ class TestObserveEnvs:
                         if env.episode_over:
                             break
                         env.step(rng.integers(0, 5, size=(1, n)))
-                state = EnvState.stack(envs)
+                state = stack_rows(envs)
             else:
-                state = EnvState.from_records(records, 2, radius, horizon)
+                state = EnvState(records, 2, radius, horizon)
                 for _ in range(int(rng.integers(0, horizon + 1))):
                     if state.episode_over:
                         break

@@ -311,31 +311,48 @@ class TestSelectActions:
         agent = bundle.agent_net
         w_out, b_out = agent.layers[-1]
         b_out[:] = [0.1, 0.9, 0.9, 0.0, 0.0]
-        actions = select_actions(bundle, np.zeros((2, 10)), eps=0.0)
-        assert list(actions) == [1, 1]
+        actions = select_actions(bundle, np.zeros((1, 2, 10)), 0.0, None,
+                                 np.ones((1, 2), dtype=bool))
+        assert actions.tolist() == [[1, 1]]
 
     def test_eps_one_is_roughly_uniform(self):
         bundle = make_bundle()
         rng = np.random.default_rng(0)
         draws = 20_000
         counts = np.zeros(5)
-        obs = np.zeros((1, 10))
+        obs = np.zeros((1, 1, 10))
+        active = np.ones((1, 1), dtype=bool)
         for _ in range(draws):
-            counts[select_actions(bundle, obs, eps=1.0, rng=rng)[0]] += 1
+            counts[select_actions(bundle, obs, 1.0, [rng], active)[0, 0]] += 1
         p = 0.2
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.abs(counts - draws * p).max() < 5 * sigma
 
     def test_inactive_agents_stay(self):
         bundle = make_bundle()
-        actions = select_actions(bundle, np.zeros((2, 10)), eps=0.0,
-                                 active=np.array([False, True]))
-        assert actions[0] == int(Action.STAY)
+        actions = select_actions(bundle, np.zeros((1, 2, 10)), 0.0, None,
+                                 np.array([[False, True]]))
+        assert actions[0, 0] == int(Action.STAY)
+
+    def test_rows_draw_from_their_own_streams(self):
+        # one forward over every row, then each row's epsilon_greedy with
+        # its own stream, as train() acts for its slots
+        bundle = make_bundle()
+        obs = np.random.default_rng(3).normal(size=(3, 2, 10))
+        active = np.array([[True, True], [False, True], [True, False]])
+        got = select_actions(bundle, obs, 0.5, [np.random.default_rng(s) for s in range(3)],
+                             active)
+        assert got.shape == (3, 2)
+        for e in range(3):
+            q, _ = forward(bundle.agent_net, obs[e])
+            want = qc.epsilon_greedy(q.argmax(axis=1), 0.5, np.random.default_rng(e),
+                                     active[e])
+            assert got[e].tolist() == want.tolist()
 
     def test_eps_needs_rng(self):
         bundle = make_bundle()
         with pytest.raises(ValueError):
-            select_actions(bundle, np.zeros((1, 10)), eps=0.5)
+            select_actions(bundle, np.zeros((1, 1, 10)), 0.5, None, np.ones((1, 1), dtype=bool))
 
 
 class TestArgmaxConsistency:

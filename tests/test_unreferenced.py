@@ -12,7 +12,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "gridmix"
 # name -> why it stays although nothing in src/ calls it
 ALLOWED = {
     "to_json": "public RunConfig API; perfbench writes its configs with it",
-    "select_actions": "perfbench/tracing.py TARGETS resolves it by name with getattr",
     "greedy_rollout_fails": "perfbench/tracing.py TARGETS resolves it by name with getattr; "
                             "give-way maps no longer need it, tests check them with it",
 }
