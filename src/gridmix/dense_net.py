@@ -10,6 +10,14 @@ row-major order, then the bias. Forward and backward take (batch, n_in)
 matrices only (a single input is a 1-row batch); parameter gradients are
 summed over the batch.
 
+A Tape owns the float arrays that one forward and backward pass over a
+fixed row count writes. A caller that passes the same tape to each
+forward, and a gradient buffer as backward's ``out``, repeats a pass
+without allocating a float array of the batch's size: the learner keeps
+its tapes across updates this way. Without a tape or ``out`` each call
+allocates fresh arrays; the arithmetic, and so every bit of the result,
+is the same either way.
+
 Everything is 64-bit. Subgradients at kinks: ReLU'(0) = 0, Abs'(0) = 0,
 ELU uses alpha = 1 and is smooth at 0.
 """
@@ -29,40 +37,59 @@ class NonFiniteGradient(FloatingPointError):
     """A gradient entry is NaN or infinite; training should halt with diagnostics."""
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
-def _relu_vjp(z, g):
-    return np.where(z > 0.0, g, 0.0)
+def _relu_vjp(z, g, out=None):
+    # np.where(z > 0, g, 0.0) without its fresh array: g's bits ANDed with
+    # all ones where z > 0 and with zero (+0.0) elsewhere. g * (z > 0) would
+    # give -0.0 where g < 0, and a masked np.copyto is twice as slow as this
+    if out is None:
+        out = np.empty_like(g)
+    bits = out.view(np.int64)
+    np.greater(z, 0.0, out=bits)
+    np.negative(bits, out=bits)
+    np.bitwise_and(bits, g.view(np.int64), out=bits)
+    return out
 
 
-def _abs(z):
-    return np.abs(z)
+def _abs(z, out=None):
+    return np.abs(z, out=out)
 
 
-def _abs_vjp(z, g):
-    return g * np.sign(z)
+def _abs_vjp(z, g, out=None):
+    out = np.sign(z, out=out)
+    out *= g
+    return out
 
 
-def _identity(z):
+def _identity(z, out=None):
     return z
 
 
-def _identity_vjp(z, g):
+def _identity_vjp(z, g, out=None):
     return g
 
 
-def _elu(z):
-    return np.where(z > 0.0, z, np.expm1(z))
+def _elu(z, out=None):
+    out = np.expm1(z, out=out)
+    np.copyto(out, z, where=z > 0.0)
+    return out
 
 
-def _elu_vjp(z, g):
-    return g * np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
+def _elu_vjp(z, g, out=None):
+    out = np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    np.copyto(out, 1.0, where=z > 0.0)
+    out *= g
+    return out
 
 
 # name -> (activation, vjp); the vjp maps an output gradient to a
-# pre-activation gradient, dz = g * act'(z), without materializing act'(z)
+# pre-activation gradient, dz = g * act'(z). Both write into ``out`` when
+# given (which must not alias their inputs) and return it; identity
+# returns its input instead.
 ACTIVATIONS = {
     "relu": (_relu, _relu_vjp),
     "abs": (_abs, _abs_vjp),
@@ -135,56 +162,88 @@ def init_params(topology: Topology, rng: np.random.Generator,
     return params
 
 
-@dataclass
 class Tape:
-    """Cached per-layer inputs and pre-activations from one forward pass."""
+    """The arrays of one forward pass over a fixed number of rows.
 
-    params: NetParams
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
+    ``acts[0]`` is the caller's input, ``preacts[k]`` layer k's
+    pre-activation and ``acts[k + 1]`` its output (the pre-activation
+    itself for an identity layer). forward() refills them when given the
+    tape, so the output it returns is overwritten by the next forward on
+    the same tape. backward() adds its own scratch on first use: the
+    pre-activation gradients ``dz`` and the gradients ``dx`` propagated
+    to each layer's input.
+    """
+
+    def __init__(self, topology: Topology, rows: int):
+        self.topology = topology
+        self.rows = rows
+        self.params: NetParams | None = None
+        self.preacts = [np.empty((rows, n)) for n in topology.sizes[1:]]
+        self.acts: list[np.ndarray | None] = [None] + [
+            z if act == "identity" else np.empty_like(z)
+            for z, act in zip(self.preacts, topology.activations)]
+        self.dz: list[np.ndarray | None] | None = None
+        self.dx: list[np.ndarray | None] | None = None
 
 
-def forward(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
+def forward(params: NetParams, x: np.ndarray,
+            tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
     """Affine + activation stack on a (batch, n_in) input.
 
-    Returns the (batch, n_out) output and a backprop tape.
+    Returns the (batch, n_out) output and the backprop tape holding it.
+    With ``tape`` (built for this topology and row count) the pass writes
+    into the tape's arrays; without one it builds a new tape.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.topology.sizes[0]:
+    topology = params.topology
+    if x.ndim != 2 or x.shape[1] != topology.sizes[0]:
         raise ShapeMismatch(
-            f"input shape {x.shape} is not (batch, {params.topology.sizes[0]})")
-    inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    for (w, b), act in zip(params.layers, params.topology.activations):
-        inputs.append(x)
-        z = x @ w.T + b
-        preacts.append(z)
-        x = ACTIVATIONS[act][0](z)
-    return x, Tape(params, inputs, preacts)
+            f"input shape {x.shape} is not (batch, {topology.sizes[0]})")
+    if tape is None:
+        tape = Tape(topology, x.shape[0])
+    elif tape.rows != x.shape[0] or tape.topology != topology:
+        raise ShapeMismatch(f"tape holds {tape.rows} rows of {tape.topology.sizes}, "
+                            f"not {x.shape[0]} of {topology.sizes}")
+    tape.params = params
+    tape.acts[0] = x
+    for layer, ((w, b), act) in enumerate(zip(params.layers, topology.activations)):
+        z = tape.preacts[layer]
+        np.matmul(tape.acts[layer], w.T, out=z)
+        z += b
+        ACTIVATIONS[act][0](z, out=tape.acts[layer + 1])
+    return tape.acts[-1], tape
 
 
-def backward(tape: Tape, grad_output: np.ndarray) -> np.ndarray:
+def backward(tape: Tape, grad_output: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of sum(grad_output * output) w.r.t. the parameters.
 
-    Summed over batch rows and returned as a fresh flat vector in the
-    parameter layout. The first layer's input gradient is never formed.
+    Summed over batch rows, in the parameter layout, written into ``out``
+    (a float64 vector of the parameter count, such as a view into a
+    larger gradient buffer) or, without it, into a fresh vector; returns
+    that vector. The first layer's input gradient is never formed.
     """
-    params = tape.params
+    params, topology = tape.params, tape.topology
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != tape.preacts[-1].shape:
         raise ShapeMismatch(
             f"grad_output shape {grad_output.shape} does not match output")
-    grad_flat = np.empty(params.topology.n_params)
-    grads = NetParams(params.topology, grad_flat)
-    for layer in range(params.topology.n_layers - 1, -1, -1):
-        act = params.topology.activations[layer]
-        dz = ACTIVATIONS[act][1](tape.preacts[layer], g)
+    if out is None:
+        out = np.empty(topology.n_params)
+    grads = NetParams(topology, out)
+    if tape.dz is None:
+        tape.dz = [None if act == "identity" else np.empty_like(z)
+                   for z, act in zip(tape.preacts, topology.activations)]
+        tape.dx = [None] + [np.empty_like(a) for a in tape.acts[1:-1]]
+    for layer in range(topology.n_layers - 1, -1, -1):
+        act = topology.activations[layer]
+        dz = ACTIVATIONS[act][1](tape.preacts[layer], g, out=tape.dz[layer])
         gw, gb = grads.layers[layer]
-        np.matmul(dz.T, tape.inputs[layer], out=gw)
+        np.matmul(dz.T, tape.acts[layer], out=gw)
         dz.sum(axis=0, out=gb)
         if layer > 0:
-            g = dz @ params.layers[layer][0]
-    return grad_flat
+            g = np.matmul(dz, params.layers[layer][0], out=tape.dx[layer])
+    return out
 
 
 # standard Adam constants (Kingma and Ba)

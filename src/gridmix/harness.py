@@ -31,6 +31,7 @@ import csv
 import json
 import os
 import time
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -106,6 +107,7 @@ class RunConfig:
     stop_at_success: float | None = None
 
     def validate(self) -> None:
+        self.check_types()
         try:
             self.env_config()
         except ValueError as exc:
@@ -135,6 +137,19 @@ class RunConfig:
         if not (0.0 < self.gamma < 1.0):
             raise ConfigInvalid("gamma must lie in (0, 1)")
 
+    def check_types(self) -> None:
+        """Each field's value against its annotation: an int field takes no
+        bool, float or str; a float field also takes an int; an optional
+        field also takes None."""
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            accepted = kinds + (int,) if float in kinds else kinds
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                names = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+                raise ConfigInvalid(f"{f.name} must be {names}, not {type(value).__name__}")
+
     def env_config(self, seed: int | None = None) -> EnvConfig:
         return EnvConfig(size=self.size, density=self.density, n_agents=self.n_agents,
                          obs_radius=self.obs_radius, horizon=self.horizon,
@@ -151,7 +166,9 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
+        config = cls(**data)
+        config.check_types()
+        return config
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -35,6 +35,9 @@ td_targets, one loss and one backward pass. Targets use hard-synced copies of al
 trainable parameters. Agents that were inactive at step start contribute
 a constant 0 to the value and receive no gradient. The loss is the mean
 squared TD error over unmasked entries (samples, or iql's active agents).
+Every batch-sized array of an update (tapes, output gradients) belongs to
+the bundle's workspace slot and is refilled by the next update of the same
+batch size; the parameter gradient is written straight into bundle.grad.
 """
 from __future__ import annotations
 
@@ -144,11 +147,21 @@ class MixerBundle:
             bound = math.sqrt(1.0 / embed_dim)
             self.mixer.w5[:] = rng.uniform(-bound, bound, size=self.mixer.w5.shape)
         self.adam = AdamState(total, lr=lr)
-        # filled by loss_and_grad; allocated ahead of the init draws, it
-        # raised the evaluation workload's peak RSS by about 0.4 MB
+        # filled in full by each loss_and_grad: backward writes the agent-net
+        # slice and mix_backward_batch the mixer block. Allocated ahead of
+        # the init draws, it raised the evaluation workload's peak RSS by
+        # about 0.4 MB
         self.grad = np.zeros(total)
         self.grad_mixer = self.mixer_views(self.grad) if mode == "qmix" else None
+        # the one workspace slot; a bundle that never trains builds none
+        self._work: Workspace | None = None
         sync_targets(self)
+
+    def workspace(self, batch_size: int) -> "Workspace":
+        """The update's arrays for ``batch_size``, rebuilt when the size changes."""
+        if self._work is None or self._work.batch_size != batch_size:
+            self._work = Workspace(self, batch_size)
+        return self._work
 
     def mixer_views(self, flat: np.ndarray) -> MixerParams:
         """The mixer block of ``flat`` (theta, its target or a gradient) as views."""
@@ -162,12 +175,33 @@ class MixerBundle:
                            b5=flat[w_end + rows + e:])
 
 
-def mix_forward_batch(mixer: MixerParams, agent_qs: np.ndarray,
-                      state: np.ndarray) -> tuple[np.ndarray, tuple]:
+class MixTape:
+    """The arrays of one batched mixing pass over b samples of n agents.
+
+    mix_forward_batch refills them when given the tape, so the Q_tot it
+    returns is overwritten by the next forward on the same tape.
+    mix_backward_batch adds its scratch on first use.
+    """
+
+    def __init__(self, b: int, n: int, e: int):
+        self.shape = (b, n, e)
+        self.mixer = self.state = self.agent_qs = None
+        self.z = np.empty((b, (n + 3) * e))
+        self.w1 = np.empty((b, n, e))
+        self.w2, self.h4, self.hidden_pre, self.hidden = (np.empty((b, e)) for _ in range(4))
+        self.b2 = np.empty((b, 1))
+        self.q_tot = np.empty(b)
+        self.dz = self.d_hidden_pre = self.g_e = self.d_w1 = self.d_qs = None
+
+
+def mix_forward_batch(mixer: MixerParams, agent_qs: np.ndarray, state: np.ndarray,
+                      tape: MixTape | None = None) -> tuple[np.ndarray, MixTape]:
     """Batched mixing pass: agent Q-values (b, n) + states (b, s) -> Q_tot (b,).
 
     One matmul on the state computes every hypernetwork pre-activation; the
-    returned tape feeds mix_backward_batch.
+    returned tape feeds mix_backward_batch. With ``tape`` (built for this
+    b, n and embed width) the pass writes into the tape's arrays; without
+    one it builds a new tape.
     """
     agent_qs = np.asarray(agent_qs, dtype=np.float64)
     state = np.asarray(state, dtype=np.float64)
@@ -179,64 +213,105 @@ def mix_forward_batch(mixer: MixerParams, agent_qs: np.ndarray,
     e = mixer.w5.shape[1]
     if mixer.W.shape[0] != (n + 3) * e:
         raise ShapeMismatch("mixer rows do not match n_agents * embed_dim + 3 * embed_dim")
+    if tape is None:
+        tape = MixTape(b, n, e)
+    elif tape.shape != (b, n, e):
+        raise ShapeMismatch(f"tape is for (b, n, e) = {tape.shape}, not {(b, n, e)}")
+    tape.mixer, tape.state, tape.agent_qs = mixer, state, agent_qs
     ne = n * e
-    z = state @ mixer.W.T + mixer.b
-    w1 = _abs(z[:, :ne]).reshape(b, n, e)
-    b1 = z[:, ne:ne + e]
-    w2 = _abs(z[:, ne + e:ne + 2 * e])
-    h4 = _relu(z[:, ne + 2 * e:])
-    b2 = h4 @ mixer.w5.T + mixer.b5
-    hidden_pre = np.einsum("bn,bne->be", agent_qs, w1) + b1
-    hidden = _elu(hidden_pre)
-    q_tot = np.einsum("be,be->b", hidden, w2) + b2[:, 0]
-    return q_tot, (mixer, state, agent_qs, z, w1, w2, h4, hidden_pre, hidden)
+    z = tape.z
+    np.matmul(state, mixer.W.T, out=z)
+    z += mixer.b
+    _abs(z[:, :ne], out=tape.w1.reshape(b, ne))
+    _abs(z[:, ne + e:ne + 2 * e], out=tape.w2)
+    _relu(z[:, ne + 2 * e:], out=tape.h4)
+    np.matmul(tape.h4, mixer.w5.T, out=tape.b2)
+    tape.b2 += mixer.b5
+    np.einsum("bn,bne->be", agent_qs, tape.w1, out=tape.hidden_pre)
+    tape.hidden_pre += z[:, ne:ne + e]
+    _elu(tape.hidden_pre, out=tape.hidden)
+    np.einsum("be,be->b", tape.hidden, tape.w2, out=tape.q_tot)
+    tape.q_tot += tape.b2[:, 0]
+    return tape.q_tot, tape
 
 
-def mix_backward_batch(tape: tuple, grad_q_tot: np.ndarray,
+def mix_backward_batch(tape: MixTape, grad_q_tot: np.ndarray,
                        grads: MixerParams) -> np.ndarray:
     """Gradient of sum(grad_q_tot * Q_tot) w.r.t. the agent Q-values (returned).
 
     The mixer's parameter gradients are written in full into ``grads``,
-    views of a gradient buffer laid out like the mixer block.
+    views of a gradient buffer laid out like the mixer block. The returned
+    (b, n) array belongs to the tape.
     """
-    mixer, state, agent_qs, z, w1, w2, h4, hidden_pre, hidden = tape
     g = np.asarray(grad_q_tot, dtype=np.float64)[:, None]
-    b, n, e = w1.shape
+    b, n, e = tape.shape
     ne = n * e
-    d_hidden_pre = _elu_vjp(hidden_pre, g * w2)
-    d_qs = np.einsum("bne,be->bn", w1, d_hidden_pre)
-    np.matmul(g.T, h4, out=grads.w5)
+    z = tape.z
+    if tape.dz is None:
+        tape.dz = np.empty_like(z)
+        tape.d_hidden_pre, tape.g_e = np.empty((b, e)), np.empty((b, e))
+        tape.d_w1 = np.empty_like(tape.w1)
+        tape.d_qs = np.empty((b, n))
+    dz, d_hidden_pre, g_e = tape.dz, tape.d_hidden_pre, tape.g_e
+    np.multiply(g, tape.w2, out=g_e)
+    _elu_vjp(tape.hidden_pre, g_e, out=d_hidden_pre)
+    np.einsum("bne,be->bn", tape.w1, d_hidden_pre, out=tape.d_qs)
+    np.matmul(g.T, tape.h4, out=grads.w5)
     g.sum(axis=0, out=grads.b5)
-    dz = np.empty_like(z)
-    d_w1 = (agent_qs[:, :, None] * d_hidden_pre[:, None, :]).reshape(b, ne)
-    dz[:, :ne] = _abs_vjp(z[:, :ne], d_w1)
+    np.multiply(tape.agent_qs[:, :, None], d_hidden_pre[:, None, :], out=tape.d_w1)
+    _abs_vjp(z[:, :ne], tape.d_w1.reshape(b, ne), out=dz[:, :ne])
     dz[:, ne:ne + e] = d_hidden_pre
-    dz[:, ne + e:ne + 2 * e] = _abs_vjp(z[:, ne + e:ne + 2 * e], g * hidden)
-    dz[:, ne + 2 * e:] = _relu_vjp(z[:, ne + 2 * e:], g @ mixer.w5)
-    np.matmul(dz.T, state, out=grads.W)
+    np.multiply(g, tape.hidden, out=g_e)
+    _abs_vjp(z[:, ne + e:ne + 2 * e], g_e, out=dz[:, ne + e:ne + 2 * e])
+    np.matmul(g, tape.mixer.w5, out=g_e)
+    _relu_vjp(z[:, ne + 2 * e:], g_e, out=dz[:, ne + 2 * e:])
+    np.matmul(dz.T, tape.state, out=grads.W)
     dz.sum(axis=0, out=grads.b)
-    return d_qs
+    return tape.d_qs
+
+
+class Workspace:
+    """Every array one learner update of batch size b writes into.
+
+    The online and target agent-net tapes (b * n rows), the online and
+    target mixer tapes (qmix only), the (b * n, N_ACTIONS) gradient on the
+    agent net's output and the row index that picks each row's chosen
+    action. MixerBundle.workspace builds one on the first update and
+    keeps it while the batch size stays the same.
+    """
+
+    def __init__(self, bundle: "MixerBundle", b: int):
+        n = bundle.n_agents
+        self.batch_size = b
+        self.agent = dense_net.Tape(bundle.agent_net.topology, b * n)
+        self.target_agent = dense_net.Tape(bundle.agent_net.topology, b * n)
+        self.mixer = self.target_mixer = None
+        if bundle.mode == "qmix":
+            self.mixer = MixTape(b, n, bundle.embed_dim)
+            self.target_mixer = MixTape(b, n, bundle.embed_dim)
+        self.d_q_all = np.zeros((b * n, N_ACTIONS))
+        self.rows = np.arange(b * n)
 
 
 def _mix(bundle: MixerBundle, mixer: MixerParams | None, qs: np.ndarray,
-         state: np.ndarray) -> tuple[np.ndarray, Callable]:
+         state: np.ndarray, tape: MixTape | None = None) -> tuple[np.ndarray, Callable]:
     """Per-agent Q-values (b, n) -> the value the TD error is taken on.
 
     qmix mixes them into Q_tot (b,), vdn sums them (b,) and iql keeps each
     agent's value (b, n). Returns the value and its backward map
     ``grad_value -> grad_qs``, which writes qmix's mixer gradients into
-    the mixer block of ``bundle.grad``. The only place the learner
-    branches on mode.
+    the mixer block of ``bundle.grad``. ``tape`` is qmix's mixer tape.
+    The only place the learner branches on mode.
     """
     if bundle.mode == "qmix":
-        q_tot, tape = mix_forward_batch(mixer, qs, state)
+        q_tot, tape = mix_forward_batch(mixer, qs, state, tape)
         return q_tot, lambda g: mix_backward_batch(tape, g, bundle.grad_mixer)
     if bundle.mode == "vdn":
         return qs.sum(axis=1), lambda g: np.repeat(g[:, None], qs.shape[1], axis=1)
     return qs, lambda g: g
 
 
-def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
+def td_targets(bundle: MixerBundle, batch, work: Workspace | None = None) -> np.ndarray:
     """Regression targets from the target copies: (b,) for qmix and vdn, (b, n) for iql.
 
     y = r + gamma * not_terminal * value(max_a Q'(o', a) * (active & ~done)),
@@ -246,13 +321,15 @@ def td_targets(bundle: MixerBundle, batch) -> np.ndarray:
     the target agent net; the monotone mixer makes this equal to the joint
     greedy value. Agents that are off the map at the next step contribute
     a constant 0. Terminal samples (all agents done, or truncation) receive
-    no bootstrap term.
+    no bootstrap term. With ``work`` the target passes use its tapes.
     """
     b, n = batch.actions.shape
     next_q_all, _ = forward(bundle.target_agent_net,
-                            batch.next_obs.reshape(b * n, bundle.obs_dim))
+                            batch.next_obs.reshape(b * n, bundle.obs_dim),
+                            None if work is None else work.target_agent)
     greedy_q = next_q_all.max(axis=1).reshape(b, n) * (batch.active & ~batch.done)
-    next_value, _ = _mix(bundle, bundle.target_mixer, greedy_q, batch.next_state)
+    next_value, _ = _mix(bundle, bundle.target_mixer, greedy_q, batch.next_state,
+                         None if work is None else work.target_mixer)
     reward = batch.rewards * batch.active
     not_terminal = ~batch.terminal
     if next_value.ndim == 2:
@@ -269,26 +346,30 @@ def loss_and_grad(bundle: MixerBundle, batch) -> tuple[float, np.ndarray, np.nda
     sample for qmix and vdn, every active agent for iql (inactive agents'
     errors are 0). Q_tot is the sum of the agents' values for iql. Targets
     are constants: no gradient flows through the target copies. The
-    gradient returned is ``bundle.grad``, overwritten in full by each call.
+    gradient returned is ``bundle.grad``, overwritten in full by each call;
+    every pass writes into the bundle's workspace for this batch size.
     """
     b, n = batch.actions.shape
-    q_all, agent_tape = forward(bundle.agent_net, batch.obs.reshape(b * n, bundle.obs_dim))
-    rows = np.arange(b * n)
+    work = bundle.workspace(b)
+    q_all, agent_tape = forward(bundle.agent_net, batch.obs.reshape(b * n, bundle.obs_dim),
+                                work.agent)
     act_flat = batch.actions.reshape(-1)
-    chosen = q_all[rows, act_flat].reshape(b, n) * batch.active
+    chosen = q_all[work.rows, act_flat].reshape(b, n) * batch.active
 
-    y = td_targets(bundle, batch)
-    value, value_backward = _mix(bundle, bundle.mixer, chosen, batch.state)
+    y = td_targets(bundle, batch, work)
+    value, value_backward = _mix(bundle, bundle.mixer, chosen, batch.state, work.mixer)
     td = value - y
     n_terms = int(batch.active.sum()) if td.ndim == 2 else b
     loss = float(np.square(td).sum() / n_terms)
     # no gradient into inactive slots
     d_chosen = value_backward((2.0 / n_terms) * td) * batch.active
 
-    d_q_all = np.zeros((b * n, N_ACTIONS))
-    d_q_all[rows, act_flat] = d_chosen.reshape(-1)
-    # copy backward's fresh vector: writing in place measurably raised page faults
-    bundle.grad[:bundle.agent_net.flat.size] = backward(agent_tape, d_q_all)
+    d_q_all = work.d_q_all
+    d_q_all.fill(0.0)
+    d_q_all[work.rows, act_flat] = d_chosen.reshape(-1)
+    # in place: writing here alone once raised page faults, because every
+    # other array of the update was fresh; with all of them owned it adds none
+    backward(agent_tape, d_q_all, out=bundle.grad[:bundle.agent_net.flat.size])
     return loss, bundle.grad, td, float(value.reshape(b, -1).sum(axis=1).mean())
 
 

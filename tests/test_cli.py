@@ -136,6 +136,7 @@ def _write(path, text):
     "train_not_object", "gen-maps_not_object", "bench_not_object",
     "train_sets_train_every", "train_sets_eval_repeats", "train_sets_eval_map_kind",
     "no_map_giveway_three_agents", "no_map_giveway_count", "no_map_goal_dist",
+    "typed_size_is_str", "typed_mode_is_int", "typed_total_steps_is_float",
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
     maps_path = str(tmp_path / "maps.json")
@@ -193,6 +194,12 @@ def test_bad_input_exits_2_with_one_line(tmp_path, config_path, capsys, case):
         config[field] = {"train_every": 8, "eval_repeats": 1,
                          "eval_map_kind": "random"}[field]
         bad = _write(str(tmp_path / "bad.json"), json.dumps(config))
+        argv = ["train", "--config", bad, "--out", str(tmp_path / "run")]
+    elif case.startswith("typed_"):
+        # a value of the wrong type for its field, including an int field given a float
+        fields = {"typed_size_is_str": {"size": "8"}, "typed_mode_is_int": {"mode": 3},
+                  "typed_total_steps_is_float": {"total_steps": 1.5, "eval_interval": 1}}
+        bad = _write(str(tmp_path / "bad.json"), json.dumps(fields[case]))
         argv = ["train", "--config", bad, "--out", str(tmp_path / "run")]
     elif case.startswith("no_map_"):
         # configs that no map satisfies end in GenerationFailed

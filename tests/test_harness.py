@@ -99,6 +99,27 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid):
             config.validate()
 
+    @pytest.mark.parametrize("kwargs,ok", [
+        (dict(size=8.0), False),
+        (dict(seed=True), False),
+        (dict(n_envs="8"), False),
+        (dict(goal_dist=2.5), False),
+        (dict(mode=None), False),
+        (dict(lr=1), True),
+        (dict(eps_end=0), True),
+        (dict(goal_dist=None, stop_at_success=None, eval_maps=None), True),
+        (dict(stop_at_success=1), True),
+    ])
+    def test_field_types(self, kwargs, ok):
+        # int fields take no bool, float or str; float fields take an int;
+        # optional fields take None
+        config = RunConfig(**{**dict(total_steps=1000, eval_interval=500), **kwargs})
+        if ok:
+            config.validate()
+        else:
+            with pytest.raises(ConfigInvalid, match=f"^{next(iter(kwargs))} must be"):
+                config.validate()
+
     @pytest.mark.parametrize("kwargs", [
         dict(target_sync=0),
         dict(embed_dim=0),

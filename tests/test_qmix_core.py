@@ -1,5 +1,6 @@
 """Mixing network, TD targets, training step, action selection, and checkpoints."""
 import base64
+import resource
 
 import numpy as np
 import pytest
@@ -282,6 +283,91 @@ class TestTrainStep:
         train_step(bundle_a, batch_a)
         train_step(bundle_b, batch_b)
         np.testing.assert_array_equal(bundle_a.theta, bundle_b.theta)
+
+
+def fresh_copy(bundle):
+    """A bundle with ``bundle``'s parameters, targets and optimizer state but
+    no learner workspace."""
+    copy = make_bundle(n_agents=bundle.n_agents, obs_dim=bundle.obs_dim,
+                       state_dim=bundle.state_dim, mode=bundle.mode,
+                       embed_dim=bundle.embed_dim)
+    copy.theta[:] = bundle.theta
+    copy.theta_target[:] = bundle.theta_target
+    copy.adam.m[:], copy.adam.v[:] = bundle.adam.m, bundle.adam.v
+    copy.adam.step = bundle.adam.step
+    return copy
+
+
+def workspace_arrays(work):
+    """Every array a learner workspace owns."""
+    tapes = [work.agent, work.target_agent, work.mixer, work.target_mixer]
+    found = [work.d_q_all, work.rows]
+    for tape in filter(None, tapes):
+        for value in vars(tape).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, np.ndarray):
+                    found.append(item)
+    return found
+
+
+class TestWorkspace:
+    """The arrays one update writes into outlive it without changing its results."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reused_workspace_matches_fresh_bundle(self, mode):
+        bundle = make_bundle(mode=mode, seed=21)
+        sizes = (8, 8, 16, 16, 8, 8)
+        works = []
+        for k, b in enumerate(sizes):
+            batch = random_batch(bundle, b=b, seed=40 + k, all_active=False)
+            reference = fresh_copy(bundle)
+            expected = train_step(reference, batch)
+            report = train_step(bundle, batch)
+            works.append(bundle.workspace(b))
+            assert report.loss == expected.loss
+            assert report.grad_norm == expected.grad_norm
+            assert report.q_tot_mean == expected.q_tot_mean
+            np.testing.assert_array_equal(report.td_errors, expected.td_errors)
+            np.testing.assert_array_equal(bundle.theta, reference.theta)
+        # one slot: kept while the size holds, rebuilt when it changes
+        assert works[0] is works[1] and works[2] is works[3] and works[4] is works[5]
+        assert works[1] is not works[2] and works[3] is not works[4]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tapeless_passes_share_nothing_with_the_workspace(self, mode):
+        bundle = make_bundle(mode=mode, seed=22)
+        batch = random_batch(bundle, b=8, seed=50)
+        train_step(bundle, batch)
+        owned = workspace_arrays(bundle.workspace(8)) + [bundle.grad]
+        x = batch.obs.reshape(16, bundle.obs_dim)
+        out, tape = forward(bundle.agent_net, x)
+        grad = backward(tape, np.ones_like(out))
+        mine = [out, grad] + tape.preacts + tape.acts[1:] + tape.dz + tape.dx
+        for a in filter(lambda a: a is not None, mine):
+            assert not any(np.shares_memory(a, b) for b in owned)
+
+    def test_bundle_that_never_trains_holds_no_workspace(self):
+        bundle = make_bundle(seed=23)
+        forward(bundle.agent_net, np.zeros((4, bundle.obs_dim)))
+        td_targets(bundle, random_batch(bundle, b=4, seed=51))
+        assert bundle._work is None
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_steady_state_update_takes_few_page_faults(self, mode):
+        # criterion 13's learner shape: 8x8 grid, 2 agents, view radius 5, batch 64
+        bundle = make_bundle(n_agents=2, obs_dim=484, state_dim=192, mode=mode,
+                             embed_dim=qc.DEFAULT_EMBED_DIM, seed=24)
+        batches = [random_batch(bundle, b=64, seed=60 + k, all_active=False)
+                   for k in range(4)]
+        for k in range(10):
+            train_step(bundle, batches[k % 4])
+        faults = 0
+        for k in range(50):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train_step(bundle, batches[k % 4])
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 50 <= 5.0
 
 
 class TestSyncTargets:

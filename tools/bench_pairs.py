@@ -15,10 +15,19 @@ the next workload starts.
 For every workload and end-to-end metric of the change's BENCHMARK.json
 the file records each run's value, the median and quartiles of each side,
 the change's win count over the pairs (ties count for neither side), and
-the median of the per-pair change/parent ratios. Each run also records
-its seed, order, the 1-minute load average just before it started, its
-failed and attempted operation counts, and its checkout's ``src/`` line
-count.
+the median of the per-pair change/parent ratios, and a verdict:
+
+    gain        the change wins at least 9 of every 10 pairs and its median
+                is better than the parent's by more than the parent's
+                interquartile range
+    worse       the change's median is worse than the parent's by more than
+                the metric's BENCHMARK.json bound (a fraction of the
+                parent's median)
+    unresolved  neither
+
+Each run also records its seed, order, the 1-minute load average just
+before it started, its failed and attempted operation counts, and its
+checkout's ``src/`` line count.
 """
 from __future__ import annotations
 
@@ -66,6 +75,26 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
+def wins(parent: list[float], change: list[float], higher: bool) -> int:
+    """Pairs (``parent[k]``, ``change[k]``) in which the change is strictly better."""
+    return sum(1 for a, b in zip(parent, change) if (b > a if higher else b < a))
+
+
+def verdict(parent: list[float], change: list[float], higher: bool, bound: float) -> str:
+    """'gain', 'worse' or 'unresolved' for one metric over paired runs; see
+    the module docstring."""
+    q1, _, q3 = quartiles(parent)
+    base = statistics.median(parent)
+    better_by = statistics.median(change) - base
+    if not higher:
+        better_by = -better_by
+    if 10 * wins(parent, change, higher) >= 9 * len(parent) and better_by > q3 - q1:
+        return "gain"
+    if -better_by > bound * abs(base):
+        return "worse"
+    return "unresolved"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     pairs = {}
     for run in runs:
@@ -76,16 +105,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         name, higher = spec["name"], spec["better"] == "higher"
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        wins = sum(1 for a, b in zip(parent, change) if (b > a if higher else b < a))
-        losses = sum(1 for a, b in zip(parent, change) if (b < a if higher else b > a))
         summary[name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "parent": parent, "change": change,
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
             "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
-            "change_wins": wins, "change_losses": losses, "pairs": len(pairs),
+            "change_wins": wins(parent, change, higher),
+            "change_losses": wins(change, parent, higher), "pairs": len(pairs),
             "median_pair_ratio": statistics.median(b / a for a, b in zip(parent, change)),
+            "verdict": verdict(parent, change, higher, spec["bound"]),
         }
     return summary
 
@@ -122,8 +151,13 @@ def main(argv=None) -> int:
                 runs.append(run)
                 print(f"{workload} pair {k} {side}: "
                       f"{json.dumps(run['metrics'])} failed {run['failed']}", flush=True)
-        report["workloads"][workload] = {"runs": runs,
-                                         "summary": summarize(runs, bench["end_to_end"])}
+        summary = summarize(runs, bench["end_to_end"])
+        report["workloads"][workload] = {"runs": runs, "summary": summary}
+        for name, m in summary.items():
+            print(f"{workload} {name}: {m['verdict']} (parent {m['parent_median']:.6g} "
+                  f"[{m['parent_quartiles'][0]:.6g}, {m['parent_quartiles'][2]:.6g}], "
+                  f"change {m['change_median']:.6g}, {m['change_wins']}/{m['pairs']} wins)",
+                  flush=True)
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
     return 0
